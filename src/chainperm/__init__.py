@@ -3,7 +3,7 @@
 A chain assigns a pattern set to each compositional power of a
 permutation: pi satisfies (S1 : S2 : ...) when pi avoids everything in
 S1, pi squared avoids everything in S2, and so on.  The package
-enumerates chain avoiders by brute force, evaluates the nine built-in
+enumerates chain avoiders exactly, evaluates the nine built-in
 closed forms for their counts, and checks the structure of strongly
 312-avoiding permutations that end in 1.
 """

@@ -99,14 +99,18 @@ def _prepare_levels(level_values: Iterable[Iterable[tuple[int, ...]]]) -> Prepar
 
 
 def _avoids_prepared(
-    values: tuple[int, ...], prepared: PreparedLevels, scratch: list[int]
+    values: tuple[int, ...], prepared: PreparedLevels, scratch: list[int], first: int = 0
 ) -> bool:
-    """Chain predicate on a raw word; powers are built incrementally."""
+    """Chain predicate on a raw word, checking the levels from index first
+    on (the caller has settled the ones before); powers are built
+    incrementally."""
     n = len(values)
     cur = values
     for depth, level in enumerate(prepared):
         if depth:
             cur = tuple(values[v - 1] for v in cur)
+        if depth < first:
+            continue
         for k, bounds in level:
             if k <= n and _match(cur, bounds, scratch, 0, 0, n, k):
                 return False

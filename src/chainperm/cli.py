@@ -15,7 +15,7 @@ arguments produce byte-identical output regardless of --jobs.
              strong 312 avoidance coincides with the unimodal shape
 
 Exit codes: 0 all checks agree, 1 a disagreement or counterexample was
-found, 2 usage or parse error.
+found, 2 usage or parse error, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -104,11 +104,6 @@ def _emit(rows: list[VerificationRow], args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _effective_jobs(jobs: int, n: int) -> int:
-    # Forking workers costs more than scanning n! words for small n.
-    return jobs if n >= 7 else 1
-
-
 def _words_ending_in_1(n: int):
     if n == 1:
         yield (1,)
@@ -121,7 +116,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     chain = parse_chain(args.chain)
     rows = []
     for n in range(1, args.n_max + 1):
-        ref = count_chain(n, chain, jobs=_effective_jobs(args.jobs, n), force=args.force)
+        ref = count_chain(n, chain, jobs=args.jobs, force=args.force)
         rows.append(
             VerificationRow(
                 n=n,
@@ -147,9 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
             for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
-                got = count_chain(
-                    n, chain, jobs=_effective_jobs(args.jobs, n), force=args.force
-                ).total
+                got = count_chain(n, chain, jobs=args.jobs, force=args.force).total
                 agree = got == expected
                 rows.append(
                     VerificationRow(
@@ -182,9 +175,8 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     failures = []
     for formula in formula_table():
         for n in range(1, args.n_max + 1):
-            jobs = _effective_jobs(args.jobs, n)
-            left = count_chain(n, formula.chain_231, jobs=jobs, force=args.force).total
-            right = count_chain(n, formula.chain_312, jobs=jobs, force=args.force).total
+            left = count_chain(n, formula.chain_231, jobs=args.jobs, force=args.force).total
+            right = count_chain(n, formula.chain_312, jobs=args.jobs, force=args.force).total
             agree = left == right
             rows.append(
                 VerificationRow(
@@ -227,6 +219,7 @@ def _describe_structure_witness(pi: Permutation) -> str:
 def cmd_structure(args: argparse.Namespace) -> int:
     rows = []
     first_witness = None
+    form_mismatches = []
     for n in range(1, args.n_max + 1):
         strong_words = set()
         classified_words = set()
@@ -255,16 +248,23 @@ def cmd_structure(args: argparse.Namespace) -> int:
         if witness is not None and first_witness is None:
             first_witness = (n, witness)
         # The classified words are exactly the admissible unimodal forms.
-        assert len(classified_words) == len(unimodal_forms(n))
+        forms = len(unimodal_forms(n))
+        if len(classified_words) != forms:
+            form_mismatches.append((n, len(classified_words), forms))
     _emit(rows, args)
+    for n, classified, forms in form_mismatches:
+        print(
+            f"form count mismatch at n={n}: {classified} words classified, "
+            f"{forms} unimodal forms",
+            file=sys.stderr,
+        )
     if first_witness is not None:
         n, pi = first_witness
         print(
             f"counterexample at n={n}: {_describe_structure_witness(pi)}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 1 if first_witness is not None or form_mismatches else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,8 +337,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.n_max > MAX_ENUMERATION_N and not args.force:
         print(
-            f"error: --n-max {args.n_max} walks more than {MAX_ENUMERATION_N}! "
-            "permutations; pass --force to run anyway",
+            f"error: --n-max {args.n_max} is above the supported enumeration bound "
+            f"{MAX_ENUMERATION_N}; pass --force to run anyway",
             file=sys.stderr,
         )
         return 2
@@ -350,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

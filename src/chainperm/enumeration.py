@@ -1,18 +1,30 @@
-"""Exhaustive enumeration of chain avoiders.
+"""Enumeration of chain avoiders by a generating tree.
 
-Every count here walks all n! permutations, so sizes are capped at
-MAX_ENUMERATION_N unless the caller forces past it.  Counting can be
-partitioned by first entry into n independent shards, which makes the
-work embarrassingly parallel; shard results are merged by summation, so
-totals are identical for every worker count.
+Deleting the largest entry of a word that avoids the level-1 patterns
+leaves a word that still avoids them.  So every level-1 avoider of size
+n grows from exactly one level-1 avoider of size n - 1 by inserting n
+into one of its n slots: the avoiders form a generating tree (J. West,
+Generating trees and the Catalan and Schroder numbers, Discrete Math.
+146, 1995), walked here depth first.  A child is kept when no level-1
+occurrence passes through the inserted maximum, the only kind it can
+add.  Deeper levels are not closed under deleting the maximum, so they
+are checked on the leaves alone.
+
+Large trees are counted in a process pool, one shard per tree node at
+the middle depth.  Shard results are merged by summation, so totals are
+identical for every worker count.  Sizes are capped at MAX_ENUMERATION_N
+unless the caller forces past it.
 """
 
 import itertools
 import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .chains import ChainSpec, _avoids_prepared, _prepare_levels, _scratch_for
+from .chains import ChainSpec, PreparedLevels, _avoids_prepared, _prepare_levels, _scratch_for
+from .patterns import _match_pinned, _prefix_bounds
 from .perm import Permutation
 
 MAX_ENUMERATION_N = 14
@@ -23,19 +35,9 @@ def _check_size(n: int, force: bool) -> None:
         raise ValueError("size must be >= 0")
     if n > MAX_ENUMERATION_N and not force:
         raise ValueError(
-            f"n={n} walks {n}! permutations, above the supported bound "
+            f"n={n} is above the supported enumeration bound "
             f"{MAX_ENUMERATION_N}; pass force=True (CLI: --force) to run anyway"
         )
-
-
-def _iter_words(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All words of S_n in lexicographic order, optionally fixing word[0]."""
-    if first is None:
-        yield from itertools.permutations(range(1, n + 1))
-    else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        for tail in itertools.permutations(rest):
-            yield (first, *tail)
 
 
 def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
@@ -47,7 +49,7 @@ def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
     _check_size(n, force)
 
     def gen() -> Iterator[Permutation]:
-        for word in _iter_words(n):
+        for word in itertools.permutations(range(1, n + 1)):
             yield Permutation(word)
 
     return gen()
@@ -77,42 +79,101 @@ class CountRefinement:
             raise ValueError("refinement entries must add up to the total")
 
 
-def _count_shard(
-    n: int, prepared: tuple, first: int | None
+# (length, slot of the maximum, prefix bounds) for each level-1 pattern.
+Pins = tuple[tuple[int, int, tuple], ...]
+
+
+def _level1_pins(chain: ChainSpec) -> Pins:
+    return tuple((len(p), p.index(len(p)), _prefix_bounds(p)) for p in chain.level_values()[0])
+
+
+def _grow(
+    nodes: Iterable[tuple[int, ...]], n: int, pins: Pins, scratch: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The level-1 avoiders of size n below the given tree nodes, which
+    must themselves avoid level 1 and have size at most n."""
+    stack = list(nodes)
+    while stack:
+        word = stack.pop()
+        size = len(word) + 1
+        if size > n:
+            yield word
+            continue
+        live = [pin for pin in pins if pin[0] <= size]
+        for i in range(size):
+            child = word[:i] + (size,) + word[i:]
+            for k, top, bounds in live:
+                if _match_pinned(child, bounds, scratch, 0, 0, size, k, top, i):
+                    break
+            else:
+                stack.append(child)
+
+
+def _count_below(
+    n: int, pins: Pins, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
 ) -> tuple[int, list[int]]:
     scratch = _scratch_for(prepared)
     total = 0
     by_pos = [0] * n
-    for word in _iter_words(n, first):
-        if _avoids_prepared(word, prepared, scratch):
+    for word in _grow(nodes, n, pins, scratch):
+        if _avoids_prepared(word, prepared, scratch, 1):
             total += 1
             by_pos[word.index(1)] += 1
     return total, by_pos
 
 
-def _count_shard_task(args: tuple) -> tuple[int, list[int]]:
-    return _count_shard(*args)
+# A pool runs only when the tree has at least this many nodes at its middle
+# depth (n // 2), one shard each.  Starting a 2-worker fork pool costs 10 to
+# 20 ms, and shards are uneven, so two workers pay off only once the serial
+# count takes well over 50 ms.  Measured on a 2-core x86-64 host (Python
+# 3.11), serial against 2 workers: Av(312) at n = 9 has 14 middle nodes and
+# takes 52 ms against 76 ms; at n = 10 it has 42 and takes 190 ms against
+# 155 ms; S_8 (a level-1 pattern longer than 8 prunes nothing) has 24 and
+# takes 72 ms against 66 ms.  The bound sits between 14 and 24.  Every table
+# chain keeps 312 or 231 at level 1, so it has at most Catalan(4) = 14
+# middle nodes for n <= 9 and counts there never open a pool.
+MIN_POOL_FRONTIER = 20
+
+
+def _pool_size(jobs: int, shards: int) -> int:
+    """Workers for a pool: never more than asked for, than there are
+    shards to run, or than the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, shards, cpus))
 
 
 def count_chain(
     n: int, chain: ChainSpec, *, jobs: int = 1, force: bool = False
 ) -> CountRefinement:
-    """Count the chain avoiders in S_n by exhaustive scan.
+    """Count the chain avoiders in S_n by walking the level-1 generating tree.
 
-    jobs > 1 splits the scan across worker processes by first entry.
+    jobs > 1 allows a process pool for large trees (see MIN_POOL_FRONTIER).
     Results do not depend on the worker count.
     """
     _check_size(n, force)
-    prepared = _prepare_levels(chain.level_values())
     if n == 0:
         return CountRefinement(0, chain, 1, ())
-    workers = max(1, min(jobs, n))
+    pins = _level1_pins(chain)
+    prepared = _prepare_levels(chain.level_values())
+    frontier = list(_grow([()], n // 2, pins, _scratch_for(prepared)))
+    workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        total, by_pos = _count_shard(n, prepared, None)
+        total, by_pos = _count_below(n, pins, prepared, frontier)
     else:
-        tasks = [(n, prepared, first) for first in range(1, n + 1)]
-        with multiprocessing.Pool(workers) as pool:
-            shards = pool.map(_count_shard_task, tasks)
+        tasks = [(n, pins, prepared, (node,)) for node in frontier]
+        # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
+        # interrupts only this process, whose leaving the with block
+        # terminates them.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pool = multiprocessing.Pool(workers)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with pool:
+            shards = pool.starmap(_count_below, tasks)
         total = sum(t for t, _ in shards)
         by_pos = [sum(col) for col in zip(*(b for _, b in shards))]
     return CountRefinement(n, chain, total, tuple(by_pos))
@@ -129,14 +190,19 @@ def count_sequence(
 def list_chain_avoiders(
     n: int, chain: ChainSpec, *, force: bool = False
 ) -> Iterator[Permutation]:
-    """Stream the chain avoiders of S_n in lexicographic order."""
+    """Stream the chain avoiders of S_n in lexicographic order.
+
+    The tree does not reach the words in that order, so all avoiders are
+    found and sorted before the first is yielded.
+    """
     _check_size(n, force)
+    pins = _level1_pins(chain)
     prepared = _prepare_levels(chain.level_values())
     scratch = _scratch_for(prepared)
 
     def gen() -> Iterator[Permutation]:
-        for word in _iter_words(n):
-            if _avoids_prepared(word, prepared, scratch):
-                yield Permutation(word)
+        leaves = _grow([()], n, pins, scratch)
+        for word in sorted(w for w in leaves if _avoids_prepared(w, prepared, scratch, 1)):
+            yield Permutation(word)
 
     return gen()

@@ -75,6 +75,42 @@ def _match(
     return False
 
 
+def _match_pinned(
+    values: tuple[int, ...],
+    bounds: tuple[tuple[int | None, int | None], ...],
+    chosen: list[int],
+    s: int,
+    start: int,
+    n: int,
+    k: int,
+    top: int,
+    pin: int,
+) -> bool:
+    """_match restricted to occurrences that put pattern slot top, the
+    slot of the pattern's maximum, at index pin, where the word holds its
+    own maximum n.  That entry fits slot top whatever else is chosen, so
+    slots before top search left of pin and the rest search right of it."""
+    if s == top:
+        if s == k - 1:
+            return True
+        chosen[s] = n
+        return _match_pinned(values, bounds, chosen, s + 1, pin + 1, n, k, top, pin)
+    lo, hi = bounds[s]
+    lo_v = chosen[lo] if lo is not None else 0
+    hi_v = chosen[hi] if hi is not None else n + 1
+    last = s == k - 1
+    stop = pin - top + s + 1 if s < top else n - k + s + 1
+    for i in range(start, stop):
+        v = values[i]
+        if lo_v < v < hi_v:
+            if last:
+                return True
+            chosen[s] = v
+            if _match_pinned(values, bounds, chosen, s + 1, i + 1, n, k, top, pin):
+                return True
+    return False
+
+
 def _pattern_values(tau: Permutation) -> tuple[int, ...]:
     if not tau.values:
         raise ValueError("a pattern must have length >= 1")

@@ -7,11 +7,8 @@ n...21, so for n >= 2 the valid breakpoints outnumber the distinct
 words by one.
 """
 
+from .formulas import _ceil_half
 from .perm import Permutation
-
-
-def _ceil_half(n: int) -> int:
-    return (n + 1) // 2
 
 
 def breakpoint_range(n: int) -> range:

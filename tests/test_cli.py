@@ -5,8 +5,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,18 +198,34 @@ def test_structure_counterexample_exits_1(capsys, monkeypatch):
     assert "both avoid 312" in err
 
 
+def test_structure_form_count_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("chainperm.cli.unimodal_forms", lambda n: [])
+    code, out, err = run_cli(capsys, "structure", "--n-max", "2")
+    assert code == 1
+    assert len(parse_csv(out)) == 2
+    assert err.splitlines() == [
+        "form count mismatch at n=1: 1 words classified, 0 unimodal forms",
+        "form count mismatch at n=2: 1 words classified, 0 unimodal forms",
+    ]
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
 
 
-def run_child(argv):
-    """Run ``argv`` with the tested ``chainperm`` package first on PYTHONPATH."""
+def child_env():
+    """The environment with the tested ``chainperm`` package first on PYTHONPATH."""
     package_root = str(Path(chainperm.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return env
+
+
+def run_child(argv):
+    """Run ``argv`` against the tested ``chainperm`` package."""
+    return subprocess.run(argv, capture_output=True, text=True, env=child_env())
 
 
 def describe(result):
@@ -257,3 +275,43 @@ def test_console_entry_points():
 )
 def test_installed_console_script():
     assert_help_lists_subcommands(run_child(["chainperm", "--help"]))
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/<pid>/task/<tid>/children to see the pool's workers, "
+    "and two usable CPUs for a pool to open",
+)
+def test_ctrl_c_during_pooled_count_exits_130():
+    # Counting 312 up to n = 14 opens a pool from n = 10 on and runs for
+    # minutes; SIGINT goes to the whole process group, as Ctrl-C does.
+    argv = [sys.executable, "-m", "chainperm", "count", "--chain", "312", "--n-max", "14", "--jobs", "2"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        start_new_session=True,
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and time.monotonic() < deadline and proc.poll() is None:
+            try:
+                workers = children.read_text().split()
+            except OSError:
+                pass
+            time.sleep(0.01)
+        assert workers, "no pool worker appeared"
+        time.sleep(0.2)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130, stderr
+    assert "Traceback" not in stderr, stderr
+    assert stderr == "interrupted\n"
+    # Every worker has ended with the parent: the session has no process left.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

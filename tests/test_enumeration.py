@@ -1,18 +1,42 @@
 """Exhaustive counting: base cases, refinement, sharding, size bound."""
 
+import multiprocessing
+import os
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chainperm import (
+    ChainSpec,
     CountRefinement,
     MAX_ENUMERATION_N,
+    Pattern,
+    avoids,
+    chain_avoids,
     count_chain,
     count_sequence,
+    formula_table,
     generate_sn,
     identity,
     list_chain_avoiders,
     parse_chain,
 )
+from chainperm import enumeration
 from helpers import scan_count_chain
+
+TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
+
+
+def brute_avoiders(words, chain):
+    """The words of one size that satisfy the chain, in the given order."""
+    return [p.values for p in words if chain_avoids(p, chain)]
+
+
+def split_by_position_of_one(avoiders, n):
+    by_pos = [0] * n
+    for word in avoiders:
+        by_pos[word.index(1)] += 1
+    return tuple(by_pos)
 
 
 def test_generate_sn_small():
@@ -71,12 +95,57 @@ def test_refinement_sums_to_total():
 
 
 def test_count_agrees_with_scan_oracle():
-    for text in ("312,123:312", "312,321:312", "312,213:312", "312,3214:312"):
-        chain = parse_chain(text)
+    for chain in TABLE_CHAINS:
         levels = chain.level_values()
-        for n in range(1, 6):
+        for n in range(1, 7):
             ref = count_chain(n, chain)
-            assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels)
+            assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels), (chain, n)
+
+
+def test_tree_matches_brute_force_for_table_chains():
+    for n in range(1, 9):
+        words = list(generate_sn(n))
+        # A word that contains 231 (or 312) fails, at level 1, every chain
+        # that lists that pattern first; only the rest need the full check.
+        candidates = {
+            tau: [p for p in words if avoids(p, tau)]
+            for tau in {c.levels[0][0] for c in TABLE_CHAINS}
+        }
+        for chain in TABLE_CHAINS:
+            avoiders = brute_avoiders(candidates[chain.levels[0][0]], chain)
+            ref = count_chain(n, chain)
+            assert ref.total == len(avoiders), (chain, n)
+            assert ref.by_position_of_one == split_by_position_of_one(avoiders, n), (chain, n)
+            listed = [p.values for p in list_chain_avoiders(n, chain)]
+            assert listed == avoiders, (chain, n)
+
+
+def _chain_of(levels):
+    return ChainSpec(tuple(tuple(Pattern(p) for p in level) for level in levels))
+
+
+_patterns = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+)
+_levels = st.lists(st.lists(_patterns, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_levels, st.integers(min_value=1, max_value=7))
+@example([[(1,)]], 3)
+@example([[(1, 2)]], 4)
+@example([[(1, 2)], [(1,)]], 2)
+@example([[(2, 1)], [(1, 2)]], 5)
+@example([[(4, 5, 1, 3, 2)], [(2, 1, 4, 3)], [(1, 2)]], 7)
+def test_tree_matches_brute_force_on_random_chains(levels, n):
+    chain = _chain_of(levels)
+    avoiders = brute_avoiders(generate_sn(n), chain)
+    ref = count_chain(n, chain)
+    assert (ref.total, ref.by_position_of_one) == (
+        len(avoiders),
+        split_by_position_of_one(avoiders, n),
+    )
+    assert [p.values for p in list_chain_avoiders(n, chain)] == avoiders
 
 
 def test_count_empty_size():
@@ -95,12 +164,50 @@ def test_count_size_bound():
         count_sequence(chain, MAX_ENUMERATION_N + 1)
 
 
-def test_parallel_matches_serial():
-    chain = parse_chain("312,3214:312")
-    serial = count_chain(7, chain, jobs=1)
-    for jobs in (2, 3, 8):
-        parallel = count_chain(7, chain, jobs=jobs)
-        assert parallel == serial
+def spy_on_pools(monkeypatch):
+    """Record the worker count of every pool opened, opening it for real."""
+    opened = []
+    real_pool = multiprocessing.Pool
+
+    def pool(workers, *args, **kwargs):
+        opened.append(workers)
+        return real_pool(workers, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    return opened
+
+
+def test_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
+    opened = spy_on_pools(monkeypatch)
+    for text, n in (("312,3214:312", 9), ("13245:2143:312", 7)):
+        chain = parse_chain(text)
+        serial = count_chain(n, chain, jobs=1)
+        for jobs in (2, 3, 8):
+            assert count_chain(n, chain, jobs=jobs) == serial, (text, jobs)
+    cpus = enumeration._pool_size(10**6, 10**6)
+    assert all(2 <= workers <= cpus for workers in opened)
+    if cpus > 1:
+        assert len(opened) == 6
+
+
+def test_pool_size_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert enumeration._pool_size(5000, 10**6) == 64
+    assert enumeration._pool_size(5000, 10) == 10
+    assert enumeration._pool_size(3, 10) == 3
+    assert enumeration._pool_size(1, 10) == 1
+    assert enumeration._pool_size(8, 0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert enumeration._pool_size(5000, 10**6) == 1
+
+
+def test_table_chains_open_no_pool_up_to_8(monkeypatch):
+    opened = spy_on_pools(monkeypatch)
+    for chain in TABLE_CHAINS:
+        for n in range(1, 9):
+            count_chain(n, chain, jobs=8)
+    assert opened == []
 
 
 def test_workers_never_exceed_shards():
