@@ -13,9 +13,10 @@ permutation would collide with the pattern separator.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .patterns import Pattern, ParseError, _contains_values, _match, _prefix_bounds, parse_pattern
+from .patterns import Pattern, ParseError, _match, _prefix_bounds, parse_pattern
 from .perm import Permutation
 
 Level = tuple[Pattern, ...]
@@ -88,13 +89,15 @@ def parse_chain(text: str) -> ChainSpec:
     return ChainSpec(tuple(levels))
 
 
-PreparedLevels = tuple[tuple[tuple[int, tuple], ...], ...]
+PreparedLevels = tuple[tuple[tuple[int, int, tuple], ...], ...]
 
 
 def _prepare_levels(level_values: Iterable[Iterable[tuple[int, ...]]]) -> PreparedLevels:
-    """Resolve each pattern to (length, prefix bounds) once, ahead of a scan."""
+    """Resolve each pattern to (length, slot of its maximum, prefix
+    bounds) once, ahead of a scan."""
     return tuple(
-        tuple((len(pat), _prefix_bounds(pat)) for pat in level) for level in level_values
+        tuple((len(pat), pat.index(len(pat)), _prefix_bounds(pat)) for pat in level)
+        for level in level_values
     )
 
 
@@ -111,14 +114,14 @@ def _avoids_prepared(
             cur = tuple(values[v - 1] for v in cur)
         if depth < first:
             continue
-        for k, bounds in level:
+        for k, _, bounds in level:
             if k <= n and _match(cur, bounds, scratch, 0, 0, n, k):
                 return False
     return True
 
 
 def _scratch_for(prepared: PreparedLevels) -> list[int]:
-    longest = max((k for level in prepared for k, _ in level), default=1)
+    longest = max((k for level in prepared for k, _, _ in level), default=1)
     return [0] * longest
 
 
@@ -133,16 +136,18 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     return _avoids_prepared(pi.values, prepared, _scratch_for(prepared))
 
 
+@lru_cache(maxsize=None)
+def _strong_levels(pattern: tuple[int, ...]) -> PreparedLevels:
+    """The prepared chain (tau : tau).  tau may be any Permutation, so the
+    empty pattern is rejected here."""
+    if not pattern:
+        raise ValueError("a pattern must have length >= 1")
+    return _prepare_levels(((pattern,), (pattern,)))
+
+
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
     """True when both pi and its square avoid tau.
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    values = pi.values
-    pattern = tau.values
-    if not pattern:
-        raise ValueError("a pattern must have length >= 1")
-    if _contains_values(values, pattern):
-        return False
-    square = tuple(values[v - 1] for v in values)
-    return not _contains_values(square, pattern)
+    return _avoids_prepared(pi.values, _strong_levels(tau.values), [0] * len(tau.values))

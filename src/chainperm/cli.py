@@ -31,7 +31,7 @@ from .chains import parse_chain, strongly_avoids
 from .enumeration import MAX_ENUMERATION_N, count_chain
 from .formulas import evaluate, formula_by_tag, formula_table
 from .patterns import find_occurrence, parse_pattern
-from .perm import ParseError, Permutation
+from .perm import Permutation
 from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimodal_forms
 
 _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
@@ -344,9 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

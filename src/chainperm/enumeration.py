@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .chains import ChainSpec, PreparedLevels, _avoids_prepared, _prepare_levels, _scratch_for
-from .patterns import _match_pinned, _prefix_bounds
+from .patterns import _match_pinned
 from .perm import Permutation
 
 MAX_ENUMERATION_N = 14
@@ -79,16 +79,8 @@ class CountRefinement:
             raise ValueError("refinement entries must add up to the total")
 
 
-# (length, slot of the maximum, prefix bounds) for each level-1 pattern.
-Pins = tuple[tuple[int, int, tuple], ...]
-
-
-def _level1_pins(chain: ChainSpec) -> Pins:
-    return tuple((len(p), p.index(len(p)), _prefix_bounds(p)) for p in chain.level_values()[0])
-
-
 def _grow(
-    nodes: Iterable[tuple[int, ...]], n: int, pins: Pins, scratch: list[int]
+    nodes: Iterable[tuple[int, ...]], n: int, prepared: PreparedLevels, scratch: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """The level-1 avoiders of size n below the given tree nodes, which
     must themselves avoid level 1 and have size at most n."""
@@ -99,7 +91,7 @@ def _grow(
         if size > n:
             yield word
             continue
-        live = [pin for pin in pins if pin[0] <= size]
+        live = [pat for pat in prepared[0] if pat[0] <= size]
         for i in range(size):
             child = word[:i] + (size,) + word[i:]
             for k, top, bounds in live:
@@ -109,16 +101,24 @@ def _grow(
                 stack.append(child)
 
 
-def _count_below(
-    n: int, pins: Pins, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
-) -> tuple[int, list[int]]:
+def _leaves(
+    n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The chain avoiders of size n below the given level-1 tree nodes."""
     scratch = _scratch_for(prepared)
+    for word in _grow(nodes, n, prepared, scratch):
+        if _avoids_prepared(word, prepared, scratch, 1):
+            yield word
+
+
+def _count_below(
+    n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
+) -> tuple[int, list[int]]:
     total = 0
     by_pos = [0] * n
-    for word in _grow(nodes, n, pins, scratch):
-        if _avoids_prepared(word, prepared, scratch, 1):
-            total += 1
-            by_pos[word.index(1)] += 1
+    for word in _leaves(n, prepared, nodes):
+        total += 1
+        by_pos[word.index(1)] += 1
     return total, by_pos
 
 
@@ -156,14 +156,13 @@ def count_chain(
     _check_size(n, force)
     if n == 0:
         return CountRefinement(0, chain, 1, ())
-    pins = _level1_pins(chain)
     prepared = _prepare_levels(chain.level_values())
-    frontier = list(_grow([()], n // 2, pins, _scratch_for(prepared)))
+    frontier = list(_grow([()], n // 2, prepared, _scratch_for(prepared)))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        total, by_pos = _count_below(n, pins, prepared, frontier)
+        total, by_pos = _count_below(n, prepared, frontier)
     else:
-        tasks = [(n, pins, prepared, (node,)) for node in frontier]
+        tasks = [(n, prepared, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
         # interrupts only this process, whose leaving the with block
         # terminates them.
@@ -196,13 +195,10 @@ def list_chain_avoiders(
     found and sorted before the first is yielded.
     """
     _check_size(n, force)
-    pins = _level1_pins(chain)
     prepared = _prepare_levels(chain.level_values())
-    scratch = _scratch_for(prepared)
 
     def gen() -> Iterator[Permutation]:
-        leaves = _grow([()], n, pins, scratch)
-        for word in sorted(w for w in leaves if _avoids_prepared(w, prepared, scratch, 1)):
+        for word in sorted(_leaves(n, prepared, [()])):
             yield Permutation(word)
 
     return gen()

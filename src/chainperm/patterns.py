@@ -1,9 +1,15 @@
 """Classical pattern containment.
 
 A permutation pi contains the pattern tau when some subsequence of pi,
-read left to right, has the same pairwise order as tau.  The search is
-an exhaustive scan over index tuples, pruned by checking order
-isomorphism of the partial subsequence after every choice.
+read left to right, has the same pairwise order as tau.  One
+backtracking search, _match, picks an index for each pattern slot in
+turn and prunes as soon as the new value breaks the order of the slots
+picked so far.  It answers yes or no, and on yes its list of picked
+indices is the lexicographically first witness, so contains, avoids and
+find_occurrence all run it.  Its pinned variant, _match_pinned, looks
+only at occurrences that put the pattern's maximum at a given index:
+the ones that inserting a maximum in the generating tree of
+enumeration.py can create.
 """
 
 from dataclasses import dataclass
@@ -35,8 +41,9 @@ def parse_pattern(text: str) -> Pattern:
 def _prefix_bounds(pattern: tuple[int, ...]) -> tuple[tuple[int | None, int | None], ...]:
     """For each slot s, the earlier slots holding the tightest values
     below and above pattern[s].  A candidate value for slot s is valid
-    exactly when it lies strictly between the values chosen at those
-    two slots, which is the full order-isomorphism test in O(1)."""
+    exactly when it lies strictly between the values at the indices
+    chosen for those two slots, which is the full order-isomorphism test
+    in O(1)."""
     bounds = []
     for s, ps in enumerate(pattern):
         lo = hi = None
@@ -60,17 +67,17 @@ def _match(
     n: int,
     k: int,
 ) -> bool:
+    """Fill slots s..k-1 of chosen with increasing indices from start on;
+    on success chosen holds the lexicographically first such witness."""
     lo, hi = bounds[s]
-    lo_v = chosen[lo] if lo is not None else 0
-    hi_v = chosen[hi] if hi is not None else n + 1
+    lo_v = values[chosen[lo]] if lo is not None else 0
+    hi_v = values[chosen[hi]] if hi is not None else n + 1
     last = s == k - 1
     for i in range(start, n - k + s + 1):
         v = values[i]
         if lo_v < v < hi_v:
-            if last:
-                return True
-            chosen[s] = v
-            if _match(values, bounds, chosen, s + 1, i + 1, n, k):
+            chosen[s] = i
+            if last or _match(values, bounds, chosen, s + 1, i + 1, n, k):
                 return True
     return False
 
@@ -89,40 +96,36 @@ def _match_pinned(
     """_match restricted to occurrences that put pattern slot top, the
     slot of the pattern's maximum, at index pin, where the word holds its
     own maximum n.  That entry fits slot top whatever else is chosen, so
-    slots before top search left of pin and the rest search right of it."""
+    the slots before top search left of pin, and _match fills the rest
+    right of it."""
     if s == top:
-        if s == k - 1:
-            return True
-        chosen[s] = n
-        return _match_pinned(values, bounds, chosen, s + 1, pin + 1, n, k, top, pin)
+        chosen[s] = pin
+        return s == k - 1 or _match(values, bounds, chosen, s + 1, pin + 1, n, k)
     lo, hi = bounds[s]
-    lo_v = chosen[lo] if lo is not None else 0
-    hi_v = chosen[hi] if hi is not None else n + 1
-    last = s == k - 1
-    stop = pin - top + s + 1 if s < top else n - k + s + 1
-    for i in range(start, stop):
+    lo_v = values[chosen[lo]] if lo is not None else 0
+    hi_v = values[chosen[hi]] if hi is not None else n + 1
+    for i in range(start, pin - top + s + 1):
         v = values[i]
         if lo_v < v < hi_v:
-            if last:
-                return True
-            chosen[s] = v
+            chosen[s] = i
             if _match_pinned(values, bounds, chosen, s + 1, i + 1, n, k, top, pin):
                 return True
     return False
 
 
-def _pattern_values(tau: Permutation) -> tuple[int, ...]:
-    if not tau.values:
+def _first_occurrence(pi: Permutation, tau: Permutation) -> list[int] | None:
+    """0-based indices of the first occurrence of tau in pi, or None.
+
+    tau may be any Permutation, so the empty pattern is rejected here."""
+    pattern = tau.values
+    if not pattern:
         raise ValueError("a pattern must have length >= 1")
-    return tau.values
-
-
-def _contains_values(values: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
     k = len(pattern)
-    n = len(values)
-    if k > n:
-        return False
-    return _match(values, _prefix_bounds(pattern), [0] * k, 0, 0, n, k)
+    n = len(pi.values)
+    chosen = [0] * k
+    if k <= n and _match(pi.values, _prefix_bounds(pattern), chosen, 0, 0, n, k):
+        return chosen
+    return None
 
 
 def contains(pi: Permutation, tau: Permutation) -> bool:
@@ -131,12 +134,12 @@ def contains(pi: Permutation, tau: Permutation) -> bool:
     >>> contains(Permutation((2, 4, 1, 5, 3)), Pattern((1, 3, 2)))
     True
     """
-    return _contains_values(pi.values, _pattern_values(tau))
+    return _first_occurrence(pi, tau) is not None
 
 
 def avoids(pi: Permutation, tau: Permutation) -> bool:
     """True when pi has no occurrence of tau."""
-    return not _contains_values(pi.values, _pattern_values(tau))
+    return _first_occurrence(pi, tau) is None
 
 
 def find_occurrence(pi: Permutation, tau: Permutation) -> tuple[int, ...] | None:
@@ -144,30 +147,9 @@ def find_occurrence(pi: Permutation, tau: Permutation) -> tuple[int, ...] | None
 
     Returns 1-based positions i_1 < ... < i_k such that the subsequence
     of pi at those positions is order-isomorphic to tau.
+
+    >>> find_occurrence(Permutation((2, 4, 1, 5, 3)), Pattern((1, 3, 2)))
+    (1, 2, 5)
     """
-    pattern = _pattern_values(tau)
-    values = pi.values
-    k = len(pattern)
-    n = len(values)
-    if k > n:
-        return None
-    bounds = _prefix_bounds(pattern)
-    chosen_vals = [0] * k
-    chosen_idx = [0] * k
-
-    def extend(s: int, start: int) -> bool:
-        lo, hi = bounds[s]
-        lo_v = chosen_vals[lo] if lo is not None else 0
-        hi_v = chosen_vals[hi] if hi is not None else n + 1
-        for i in range(start, n - k + s + 1):
-            v = values[i]
-            if lo_v < v < hi_v:
-                chosen_vals[s] = v
-                chosen_idx[s] = i
-                if s == k - 1 or extend(s + 1, i + 1):
-                    return True
-        return False
-
-    if extend(0, 0):
-        return tuple(i + 1 for i in chosen_idx)
-    return None
+    chosen = _first_occurrence(pi, tau)
+    return None if chosen is None else tuple(i + 1 for i in chosen)

@@ -26,6 +26,17 @@ def first_occurrence_scan(word, pattern):
     return None
 
 
+def scan_contains_through_max(word, pattern, index):
+    """Containment restricted to occurrences that put word[index] (0-based)
+    at the slot of the pattern's maximum."""
+    k = len(pattern)
+    top = pattern.index(k)
+    for idxs in itertools.combinations(range(len(word)), k):
+        if idxs[top] == index and _order_isomorphic(tuple(word[i] for i in idxs), pattern):
+            return True
+    return False
+
+
 def _order_isomorphic(sub, pattern):
     k = len(pattern)
     for s in range(k):

@@ -14,8 +14,17 @@ from chainperm import (
     find_occurrence,
     parse_pattern,
     parse_permutation,
+    strongly_avoids,
 )
-from helpers import PATTERNS_3, PATTERNS_4, all_words, first_occurrence_scan, scan_contains
+from chainperm.patterns import _match_pinned, _prefix_bounds
+from helpers import (
+    PATTERNS_3,
+    PATTERNS_4,
+    all_words,
+    first_occurrence_scan,
+    scan_contains,
+    scan_contains_through_max,
+)
 
 ALL_SMALL_PATTERNS = tuple(
     itertools.chain.from_iterable(
@@ -29,6 +38,12 @@ def test_pattern_rejects_empty():
         Pattern(())
     with pytest.raises(ParseError):
         parse_pattern("")
+    # Every search accepts any Permutation as the pattern, so each one
+    # must reject the empty word itself.
+    pi = parse_permutation("231")
+    for search in (contains, avoids, find_occurrence, strongly_avoids):
+        with pytest.raises(ValueError, match="length >= 1"):
+            search(pi, Permutation(()))
 
 
 def test_pattern_parse_reports_token():
@@ -80,10 +95,25 @@ def test_find_occurrence_is_lexicographically_first():
     for n in range(1, 7):
         for word in all_words(n):
             pi = Permutation(word)
-            for pattern in PATTERNS_3:
+            for pattern in ALL_SMALL_PATTERNS:
                 assert find_occurrence(pi, Pattern(pattern)) == first_occurrence_scan(
                     word, pattern
                 )
+
+
+def test_pinned_search_agrees_with_scan_oracle():
+    # The generating tree asks only for occurrences through the maximum.
+    for m in range(1, 7):
+        for word in all_words(m):
+            pin = word.index(m)
+            for pattern in ALL_SMALL_PATTERNS:
+                k = len(pattern)
+                if k > m:
+                    continue
+                found = _match_pinned(
+                    word, _prefix_bounds(pattern), [0] * k, 0, 0, m, k, pattern.index(k), pin
+                )
+                assert found == scan_contains_through_max(word, pattern, pin), (word, pattern)
 
 
 def test_engine_agrees_with_scan_oracle_exhaustively():
