@@ -78,6 +78,21 @@ def scan_count_chain(n, levels):
     return total, tuple(by_pos)
 
 
+def scan_structure(n, classify):
+    """The strong 312 avoiders among the words of size n that end in 1, and
+    the words among them that ``classify`` (a word tuple to a breakpoint or
+    None) accepts, found by scanning all (n - 1)! such words."""
+    strong = set()
+    classified = set()
+    for tail in itertools.permutations(range(2, n + 1)):
+        word = tail + (1,)
+        if scan_chain_avoids(word, (((3, 1, 2),), ((3, 1, 2),))):
+            strong.add(word)
+        if classify(word) is not None:
+            classified.add(word)
+    return strong, classified
+
+
 def all_words(n):
     return itertools.permutations(range(1, n + 1))
 

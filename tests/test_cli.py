@@ -1,6 +1,7 @@
 """Command line: report content, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -15,7 +16,10 @@ from types import SimpleNamespace
 import pytest
 
 import chainperm
+import chainperm.cli
+from chainperm import Permutation, classify_strong_312_ending_in_1, parse_permutation
 from chainperm.cli import main
+from helpers import scan_structure
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -207,6 +211,78 @@ def test_structure_form_count_mismatch_exits_1(capsys, monkeypatch):
         "form count mismatch at n=1: 1 words classified, 0 unimodal forms",
         "form count mismatch at n=2: 1 words classified, 0 unimodal forms",
     ]
+
+
+def test_structure_report_matches_scan_oracle(capsys):
+    code, out, err = run_cli(capsys, "structure", "--n-max", "9")
+    assert code == 0
+    assert err == ""
+    rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == list(range(1, 10))
+    for n, row in enumerate(rows, start=1):
+        strong, classified = scan_structure(
+            n, lambda word: classify_strong_312_ending_in_1(Permutation(word))
+        )
+        assert strong == classified
+        assert row[1:] == [
+            "312:312",
+            str(len(strong)),
+            str(len(classified)),
+            "",
+            "true",
+            ",".join(str(k) for k in range((n + 1) // 2, n + 1)),
+        ]
+
+
+def test_structure_same_size_mismatch_exits_1(capsys, monkeypatch):
+    # Strong and classified words at n = 4 have the same count but differ.
+    classify = chainperm.cli.classify_strong_312_ending_in_1
+    patched = {"4321": None, "2341": 3}
+    monkeypatch.setattr(
+        "chainperm.cli.classify_strong_312_ending_in_1",
+        lambda pi: patched.get(pi.text(), classify(pi)),
+    )
+    code, out, err = run_cli(capsys, "structure", "--n-max", "4")
+    assert code == 1
+    assert "counterexample at n=4" in err
+    assert len(parse_csv(out)) == 4
+
+
+def test_structure_form_containing_312_exits_1(capsys, monkeypatch):
+    # 4231 contains 312, so it is no candidate; the form count stays the same.
+    forms = chainperm.cli.unimodal_forms
+    swap = {"4321": parse_permutation("4231")}
+    monkeypatch.setattr(
+        "chainperm.cli.unimodal_forms",
+        lambda n: [swap.get(f.text(), f) if n == 4 else f for f in forms(n)],
+    )
+    code, out, err = run_cli(capsys, "structure", "--n-max", "4")
+    assert code == 1
+    assert len(parse_csv(out)) == 4
+    assert err.splitlines() == [
+        "form count mismatch at n=4: 2 words classified, 2 unimodal forms",
+    ]
+
+
+def test_unwritable_out_is_an_error(capsys, tmp_path):
+    for target in (tmp_path, tmp_path / "missing" / "report.csv"):
+        code, out, err = run_cli(
+            capsys, "count", "--chain", "312", "--n-max", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
+def test_tracer_names_exist_in_cli():
+    # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
+    path = PYPROJECT.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [*tracing.SPANNED, *tracing.COUNTED]
+    assert names
+    assert [name for name in names if not hasattr(chainperm.cli, name)] == []
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -8,12 +8,14 @@ from chainperm import (
     build_unimodal,
     classify_strong_312_ending_in_1 as classify,
     count_strong_312_ending_in_1 as count_breakpoints,
+    list_chain_avoiders,
+    parse_chain,
     parse_pattern,
     parse_permutation,
     strongly_avoids,
     unimodal_forms,
 )
-from helpers import all_words
+from helpers import all_words, scan_contains
 
 
 def test_breakpoint_range():
@@ -113,3 +115,17 @@ def test_forms_match_exhaustive_strong_avoiders():
             if word[-1] != 1:
                 continue
             assert (classify(Permutation(word)) is not None) == (word in strong)
+
+
+def test_words_ending_in_1_that_avoid_312_are_the_shifted_tree():
+    # The candidates of the structure subcommand: a final 1 takes part in
+    # no 312, so only the first n - 1 entries decide avoidance.
+    for n in range(1, 9):
+        scanned = {
+            word for word in all_words(n) if word[-1] == 1 and not scan_contains(word, (3, 1, 2))
+        }
+        shifted = {
+            tuple(v + 1 for v in tail.values) + (1,)
+            for tail in list_chain_avoiders(n - 1, parse_chain("312"))
+        }
+        assert scanned == shifted
