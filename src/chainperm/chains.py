@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .patterns import Pattern, ParseError, _match, _prefix_bounds, parse_pattern
+from .patterns import (
+    Length3Rule,
+    Pattern,
+    ParseError,
+    _length3_rule,
+    _match,
+    _prefix_bounds,
+    parse_pattern,
+)
 from .perm import Permutation
 
 Level = tuple[Pattern, ...]
@@ -89,14 +97,19 @@ def parse_chain(text: str) -> ChainSpec:
     return ChainSpec(tuple(levels))
 
 
-PreparedLevels = tuple[tuple[tuple[int, int, tuple], ...], ...]
+PreparedLevels = tuple[tuple[tuple[int, int, tuple, Length3Rule | None], ...], ...]
 
 
 def _prepare_levels(level_values: Iterable[Iterable[tuple[int, ...]]]) -> PreparedLevels:
     """Resolve each pattern to (length, slot of its maximum, prefix
-    bounds) once, ahead of a scan."""
+    bounds, rule) once, ahead of a scan.  The rule is the O(n) test of a
+    pattern of length 3, and None for the other lengths, which the
+    backtracking search decides."""
     return tuple(
-        tuple((len(pat), pat.index(len(pat)), _prefix_bounds(pat)) for pat in level)
+        tuple(
+            (len(pat), pat.index(len(pat)), _prefix_bounds(pat), _length3_rule(pat))
+            for pat in level
+        )
         for level in level_values
     )
 
@@ -114,14 +127,18 @@ def _avoids_prepared(
             cur = tuple(values[v - 1] for v in cur)
         if depth < first:
             continue
-        for k, _, bounds in level:
-            if k <= n and _match(cur, bounds, scratch, 0, 0, n, k):
+        for k, _, bounds, rule in level:
+            if k <= n and (
+                rule.kernel(rule.view(cur))
+                if rule is not None
+                else _match(cur, bounds, scratch, 0, 0, n, k)
+            ):
                 return False
     return True
 
 
 def _scratch_for(prepared: PreparedLevels) -> list[int]:
-    longest = max((k for level in prepared for k, _, _ in level), default=1)
+    longest = max((k for level in prepared for k, *_ in level), default=1)
     return [0] * longest
 
 

@@ -24,12 +24,14 @@ found, 2 usage or parse error or an unwritable --out, 130 interrupted
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TextIO
 
 from .chains import parse_chain, strongly_avoids
 from .enumeration import MAX_ENUMERATION_N, count_chain, list_chain_avoiders
@@ -100,16 +102,7 @@ def render_report(rows: list[VerificationRow], fmt: str) -> str:
     return buffer.getvalue()
 
 
-def _emit(rows: list[VerificationRow], args: argparse.Namespace) -> None:
-    text = render_report(rows, args.format)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace, report: TextIO) -> int:
     chain = parse_chain(args.chain)
     rows = []
     for n in range(1, args.n_max + 1):
@@ -122,7 +115,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 refinement=ref.by_position_of_one,
             )
         )
-    _emit(rows, args)
+    report.write(render_report(rows, args.format))
     return 0
 
 
@@ -132,7 +125,7 @@ def _selected_formulas(tags_text: str):
     return [formula_by_tag(tag.strip()) for tag in tags_text.split(",")]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, report: TextIO) -> int:
     rows = []
     failures = []
     for formula in _selected_formulas(args.tags):
@@ -155,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     failures.append((formula.tag, n, side, got, expected))
     if not rows:
         print("no rows: every selected formula starts above n_max", file=sys.stderr)
-    _emit(rows, args)
+    report.write(render_report(rows, args.format))
     if failures:
         tag, n, side, got, expected = failures[0]
         print(
@@ -167,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_symmetry(args: argparse.Namespace) -> int:
+def cmd_symmetry(args: argparse.Namespace, report: TextIO) -> int:
     rows = []
     failures = []
     for formula in formula_table():
@@ -187,7 +180,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
             )
             if not agree:
                 failures.append((formula.tag, n, left, right))
-    _emit(rows, args)
+    report.write(render_report(rows, args.format))
     if failures:
         tag, n, left, right = failures[0]
         print(
@@ -213,7 +206,7 @@ def _describe_structure_witness(pi: Permutation) -> str:
     return f"{pi.text()} and its square {square.text()} both avoid 312"
 
 
-def cmd_structure(args: argparse.Namespace) -> int:
+def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
     rows = []
     first_witness = None
     form_mismatches = []
@@ -255,7 +248,7 @@ def cmd_structure(args: argparse.Namespace) -> int:
         forms = {form.values for form in unimodal_forms(n)}
         if classified_words != forms:
             form_mismatches.append((n, len(classified_words), len(forms)))
-    _emit(rows, args)
+    report.write(render_report(rows, args.format))
     for n, classified, forms in form_mismatches:
         print(
             f"form count mismatch at n={n}: {classified} words classified, "
@@ -347,7 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     try:
-        return args.func(args)
+        # --out is opened before any counting, so that an unwritable path
+        # fails at once; like a shell redirection, it is emptied even when
+        # the run then fails.
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as report:
+            return args.func(args, report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

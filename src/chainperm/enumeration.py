@@ -7,7 +7,10 @@ into one of its n slots: the avoiders form a generating tree (J. West,
 Generating trees and the Catalan and Schroder numbers, Discrete Math.
 146, 1995), walked here depth first.  A child is kept when no level-1
 occurrence passes through the inserted maximum, the only kind it can
-add.  Deeper levels are not closed under deleting the maximum, so they
+add.  For a pattern of length 3 one O(n) pass over the node gives the
+slots where that holds, its active sites (see patterns.Length3Rule);
+the pinned search runs only for longer patterns, and only on those
+slots.  Deeper levels are not closed under deleting the maximum, so they
 are checked on the leaves alone.
 
 Large trees are counted in a process pool, one shard per tree node at
@@ -83,7 +86,10 @@ def _grow(
     nodes: Iterable[tuple[int, ...]], n: int, prepared: PreparedLevels, scratch: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """The level-1 avoiders of size n below the given tree nodes, which
-    must themselves avoid level 1 and have size at most n."""
+    must themselves avoid level 1 and have size at most n.  A child is
+    built only at the slots that every length-3 rule leaves free."""
+    rules = [rule.free_slots for *_, rule in prepared[0] if rule is not None]
+    searched = [(k, top, bounds) for k, top, bounds, rule in prepared[0] if rule is None]
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -91,8 +97,11 @@ def _grow(
         if size > n:
             yield word
             continue
-        live = [pat for pat in prepared[0] if pat[0] <= size]
-        for i in range(size):
+        free = range(size)
+        for free_slots in rules:
+            free = [i for i in free_slots(word) if i in free]
+        live = [pat for pat in searched if pat[0] <= size]
+        for i in free:
             child = word[:i] + (size,) + word[i:]
             for k, top, bounds in live:
                 if _match_pinned(child, bounds, scratch, 0, 0, size, k, top, i):
@@ -123,15 +132,17 @@ def _count_below(
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
-# depth (n // 2), one shard each.  Starting a 2-worker fork pool costs 10 to
-# 20 ms, and shards are uneven, so two workers pay off only once the serial
-# count takes well over 50 ms.  Measured on a 2-core x86-64 host (Python
-# 3.11), serial against 2 workers: Av(312) at n = 9 has 14 middle nodes and
-# takes 52 ms against 76 ms; at n = 10 it has 42 and takes 190 ms against
-# 155 ms; S_8 (a level-1 pattern longer than 8 prunes nothing) has 24 and
-# takes 72 ms against 66 ms.  The bound sits between 14 and 24.  Every table
-# chain keeps 312 or 231 at level 1, so it has at most Catalan(4) = 14
-# middle nodes for n <= 9 and counts there never open a pool.
+# depth (n // 2), one shard each.  Starting a 2-worker fork pool costs about
+# 10 ms, and shards are uneven, so two workers pay off only once the serial
+# count takes well over 30 ms.  Measured on a 2-core x86-64 host (Python
+# 3.11), serial against 2 workers, medians of 7 alternating runs: Av(312) at
+# n = 9 has 14 middle nodes and takes 7 ms against 15 ms; at n = 10 it has 42
+# and takes 24 ms against 26 to 30 ms; at n = 11, still 42, it takes 84 ms
+# against 71 ms; S_8 (a level-1 pattern longer than 8 prunes nothing) has 24
+# and takes 32 ms against 28 to 31 ms.  The middle depth cannot tell n = 10
+# from n = 11, and the bound still sits between 14 and 24.  Every table chain
+# keeps 312 or 231 at level 1, so it has at most Catalan(4) = 14 middle nodes
+# for n <= 9 and counts there never open a pool.
 MIN_POOL_FRONTIER = 20
 
 

@@ -264,7 +264,16 @@ def test_structure_form_containing_312_exits_1(capsys, monkeypatch):
     ]
 
 
-def test_unwritable_out_is_an_error(capsys, tmp_path):
+def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
+    # The path is opened before any counting, so no work is thrown away.
+    counted = []
+    count_chain = chainperm.cli.count_chain
+
+    def spy(*args, **kwargs):
+        counted.append(args)
+        return count_chain(*args, **kwargs)
+
+    monkeypatch.setattr(chainperm.cli, "count_chain", spy)
     for target in (tmp_path, tmp_path / "missing" / "report.csv"):
         code, out, err = run_cli(
             capsys, "count", "--chain", "312", "--n-max", "3", "--out", str(target)
@@ -272,6 +281,7 @@ def test_unwritable_out_is_an_error(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
+    assert counted == []
 
 
 def test_tracer_names_exist_in_cli():

@@ -137,6 +137,8 @@ _levels = st.lists(st.lists(_patterns, min_size=1, max_size=3), min_size=1, max_
 @example([[(1, 2)], [(1,)]], 2)
 @example([[(2, 1)], [(1, 2)]], 5)
 @example([[(4, 5, 1, 3, 2)], [(2, 1, 4, 3)], [(1, 2)]], 7)
+@example([[(2, 3, 1), (1, 4, 3, 2)], [(2, 3, 1)]], 7)
+@example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], 7)
 def test_tree_matches_brute_force_on_random_chains(levels, n):
     chain = _chain_of(levels)
     avoiders = brute_avoiders(generate_sn(n), chain)

@@ -16,7 +16,7 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.patterns import _match_pinned, _prefix_bounds
+from chainperm.patterns import _length3_rule, _match_pinned, _prefix_bounds
 from helpers import (
     PATTERNS_3,
     PATTERNS_4,
@@ -114,6 +114,40 @@ def test_pinned_search_agrees_with_scan_oracle():
                     word, _prefix_bounds(pattern), [0] * k, 0, 0, m, k, pattern.index(k), pin
                 )
                 assert found == scan_contains_through_max(word, pattern, pin), (word, pattern)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
+def test_insertion_rule_agrees_with_scan_oracle(pattern):
+    # Deleting the maximum of an avoider leaves an avoider, so inserting a
+    # maximum at the slots the oracle allows reaches every avoider of each
+    # size: all 4,862 of size 9 after the words of size <= 8.
+    rule = _length3_rule(pattern)
+    words = [()]
+    for m in range(9):
+        children = []
+        for word in words:
+            free = [
+                i
+                for i in range(m + 1)
+                if not scan_contains_through_max(word[:i] + (m + 1,) + word[i:], pattern, i)
+            ]
+            assert list(rule.free_slots(word)) == free, word
+            children.extend(word[:i] + (m + 1,) + word[i:] for i in free)
+        words = children
+    assert len(words) == 4862
+
+
+@pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
+def test_length3_kernel_agrees_with_scan_oracle(pattern):
+    rule = _length3_rule(pattern)
+    for n in range(9):
+        for word in all_words(n):
+            assert rule.kernel(rule.view(word)) == scan_contains(word, pattern), word
+
+
+def test_only_length3_patterns_have_a_rule():
+    for pattern in ((1,), (2, 1), *PATTERNS_4, (1, 3, 2, 5, 4)):
+        assert _length3_rule(pattern) is None
 
 
 def test_engine_agrees_with_scan_oracle_exhaustively():
