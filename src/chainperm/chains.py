@@ -14,7 +14,6 @@ permutation would collide with the pattern separator.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .patterns import (
     Length3Rule,
@@ -100,11 +99,15 @@ def parse_chain(text: str) -> ChainSpec:
 PreparedLevels = tuple[tuple[tuple[int, int, tuple, Length3Rule | None], ...], ...]
 
 
-def _prepare_levels(level_values: Iterable[Iterable[tuple[int, ...]]]) -> PreparedLevels:
-    """Resolve each pattern to (length, slot of its maximum, prefix
-    bounds, rule) once, ahead of a scan.  The rule is the O(n) test of a
+@lru_cache(maxsize=None)
+def _prepared_chain(level_values: tuple[tuple[tuple[int, ...], ...], ...]) -> PreparedLevels:
+    """Resolve each pattern of a chain to (length, slot of its maximum,
+    prefix bounds, rule), once per chain.  The rule is the O(n) test of a
     pattern of length 3, and None for the other lengths, which the
-    backtracking search decides."""
+    backtracking search decides.  The patterns of strongly_avoids may come
+    from any Permutation, so the empty pattern is rejected here."""
+    if not all(pat for level in level_values for pat in level):
+        raise ValueError("a pattern must have length >= 1")
     return tuple(
         tuple(
             (len(pat), pat.index(len(pat)), _prefix_bounds(pat), _length3_rule(pat))
@@ -149,17 +152,8 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    prepared = _prepare_levels(chain.level_values())
+    prepared = _prepared_chain(chain.level_values())
     return _avoids_prepared(pi.values, prepared, _scratch_for(prepared))
-
-
-@lru_cache(maxsize=None)
-def _strong_levels(pattern: tuple[int, ...]) -> PreparedLevels:
-    """The prepared chain (tau : tau).  tau may be any Permutation, so the
-    empty pattern is rejected here."""
-    if not pattern:
-        raise ValueError("a pattern must have length >= 1")
-    return _prepare_levels(((pattern,), (pattern,)))
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
@@ -167,4 +161,5 @@ def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    return _avoids_prepared(pi.values, _strong_levels(tau.values), [0] * len(tau.values))
+    prepared = _prepared_chain(((tau.values,), (tau.values,)))
+    return _avoids_prepared(pi.values, prepared, [0] * len(tau.values))

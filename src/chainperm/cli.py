@@ -3,7 +3,11 @@
 Four subcommands, one report schema.  Every report is a table with the
 columns n, chain, brute_force, formula, tag, agree, refinement, written
 as CSV (default) or JSON.  Reports are deterministic: the same
-arguments produce byte-identical output regardless of --jobs.
+arguments produce byte-identical output regardless of --jobs.  Each
+chain's generating tree is walked once, to n_max: count, verify and
+symmetry first call count_chain at n_max for every chain they report,
+and their rows for smaller n are lookups; structure takes its
+candidates of every size from one walk of Av(312).
 
   count      brute-force totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .chains import parse_chain, strongly_avoids
-from .enumeration import MAX_ENUMERATION_N, count_chain, list_chain_avoiders
+from .enumeration import MAX_ENUMERATION_N, count_chain, walk_chain_avoiders
 from .formulas import evaluate, formula_by_tag, formula_table
 from .patterns import find_occurrence, parse_pattern
 from .perm import Permutation
@@ -104,6 +108,7 @@ def render_report(rows: list[VerificationRow], fmt: str) -> str:
 
 def cmd_count(args: argparse.Namespace, report: TextIO) -> int:
     chain = parse_chain(args.chain)
+    count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
     rows = []
     for n in range(1, args.n_max + 1):
         ref = count_chain(n, chain, jobs=args.jobs, force=args.force)
@@ -126,9 +131,14 @@ def _selected_formulas(tags_text: str):
 
 
 def cmd_verify(args: argparse.Namespace, report: TextIO) -> int:
+    formulas = _selected_formulas(args.tags)
+    for formula in formulas:
+        if formula.valid_from <= args.n_max:
+            for chain in (formula.chain_231, formula.chain_312):
+                count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
     rows = []
     failures = []
-    for formula in _selected_formulas(args.tags):
+    for formula in formulas:
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
             for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
@@ -161,6 +171,9 @@ def cmd_verify(args: argparse.Namespace, report: TextIO) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace, report: TextIO) -> int:
+    for formula in formula_table():
+        for chain in (formula.chain_231, formula.chain_312):
+            count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
     rows = []
     failures = []
     for formula in formula_table():
@@ -207,47 +220,48 @@ def _describe_structure_witness(pi: Permutation) -> str:
 
 
 def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
+    sizes = range(1, args.n_max + 1)
+    strong_words = {n: set() for n in sizes}
+    classified_words = {n: set() for n in sizes}
+    witnesses = {}
+    # A strong 312 avoider avoids 312, and a word ending in 1 avoids 312
+    # exactly when its first n - 1 entries do: the 1 could only play the
+    # final "2" of an occurrence, which is larger than its "1".  One walk
+    # of Av(312) gives those first n - 1 entries for every n at once.
+    for tail in walk_chain_avoiders(args.n_max - 1, _CHAIN_312, force=args.force):
+        word = tuple(v + 1 for v in tail) + (1,)
+        n = len(word)
+        pi = Permutation(word)
+        is_strong = strongly_avoids(pi, _PATTERN_312)
+        k = classify_strong_312_ending_in_1(pi)
+        if is_strong:
+            strong_words[n].add(word)
+        if k is not None:
+            classified_words[n].add(word)
+        if is_strong != (k is not None):
+            witnesses[n] = min(witnesses.get(n, word), word)
     rows = []
-    first_witness = None
     form_mismatches = []
-    for n in range(1, args.n_max + 1):
-        strong_words = set()
-        classified_words = set()
-        witness = None
-        # A strong 312 avoider avoids 312, and a word ending in 1 avoids 312
-        # exactly when its first n - 1 entries do: the 1 could only play the
-        # final "2" of an occurrence, which is larger than its "1".
-        for tail in list_chain_avoiders(n - 1, _CHAIN_312, force=args.force):
-            word = tuple(v + 1 for v in tail.values) + (1,)
-            pi = Permutation(word)
-            is_strong = strongly_avoids(pi, _PATTERN_312)
-            k = classify_strong_312_ending_in_1(pi)
-            if is_strong:
-                strong_words.add(word)
-            if k is not None:
-                classified_words.add(word)
-            if is_strong != (k is not None) and witness is None:
-                witness = pi
+    for n in sizes:
+        strong, classified = strong_words[n], classified_words[n]
         # agree compares the counts, as the report schema defines it; a set
-        # difference of equal size is caught by the witness above.
+        # difference of equal size is caught by the witnesses above.
         rows.append(
             VerificationRow(
                 n=n,
                 chain="312:312",
-                brute_force=len(strong_words),
-                formula=len(classified_words),
-                agree=len(strong_words) == len(classified_words),
+                brute_force=len(strong),
+                formula=len(classified),
+                agree=len(strong) == len(classified),
                 refinement=tuple(breakpoint_range(n)),
             )
         )
-        if witness is not None and first_witness is None:
-            first_witness = (n, witness)
         # The classifier accepts only unimodal forms, so this check stands for
         # the words outside Av(312) that the candidates leave out: every form
         # must avoid 312 and classify to itself.
         forms = {form.values for form in unimodal_forms(n)}
-        if classified_words != forms:
-            form_mismatches.append((n, len(classified_words), len(forms)))
+        if classified != forms:
+            form_mismatches.append((n, len(classified), len(forms)))
     report.write(render_report(rows, args.format))
     for n, classified, forms in form_mismatches:
         print(
@@ -255,13 +269,12 @@ def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
             f"{forms} unimodal forms",
             file=sys.stderr,
         )
-    if first_witness is not None:
-        n, pi = first_witness
-        print(
-            f"counterexample at n={n}: {_describe_structure_witness(pi)}",
-            file=sys.stderr,
-        )
-    return 1 if first_witness is not None or form_mismatches else 0
+    if witnesses:
+        # The lexicographically first witness of the smallest size.
+        n = min(witnesses)
+        witness = _describe_structure_witness(Permutation(witnesses[n]))
+        print(f"counterexample at n={n}: {witness}", file=sys.stderr)
+    return 1 if witnesses or form_mismatches else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

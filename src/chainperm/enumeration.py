@@ -11,22 +11,26 @@ add.  For a pattern of length 3 one O(n) pass over the node gives the
 slots where that holds, its active sites (see patterns.Length3Rule);
 the pinned search runs only for longer patterns, and only on those
 slots.  Deeper levels are not closed under deleting the maximum, so they
-are checked on the leaves alone.
+are checked on every node the walk reaches.  The nodes at depth m are
+exactly the level-1 avoiders of size m, so one walk to n counts every
+size up to n; count_chain keeps those counts per chain for the life of
+the process, and walk_chain_avoiders streams the words of every size.
 
-Large trees are counted in a process pool, one shard per tree node at
-the middle depth.  Shard results are merged by summation, so totals are
-identical for every worker count.  Sizes are capped at MAX_ENUMERATION_N
-unless the caller forces past it.
+Large trees are counted in a process pool.  The parent counts the sizes
+up to the middle depth n // 2 while it grows the nodes there, and each
+of those nodes is one shard, which counts the deeper sizes below it.
+Shard results are merged by summation, so counts are identical for every
+worker count.  Sizes are capped at MAX_ENUMERATION_N unless the caller
+forces past it.
 """
 
 import itertools
-import multiprocessing
 import os
 import signal
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, PreparedLevels, _avoids_prepared, _prepare_levels, _scratch_for
+from .chains import ChainSpec, PreparedLevels, _avoids_prepared, _prepared_chain, _scratch_for
 from .patterns import _match_pinned
 from .perm import Permutation
 
@@ -83,10 +87,11 @@ class CountRefinement:
 
 
 def _grow(
-    nodes: Iterable[tuple[int, ...]], n: int, prepared: PreparedLevels, scratch: list[int]
+    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedLevels, scratch: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    """The level-1 avoiders of size n below the given tree nodes, which
-    must themselves avoid level 1 and have size at most n.  A child is
+    """The level-1 avoiders of every size from lo to n in and below the
+    given tree nodes, which must themselves avoid level 1 and have size at
+    most n; each word comes before the words grown from it.  A child is
     built only at the slots that every length-3 rule leaves free."""
     rules = [rule.free_slots for *_, rule in prepared[0] if rule is not None]
     searched = [(k, top, bounds) for k, top, bounds, rule in prepared[0] if rule is None]
@@ -94,8 +99,9 @@ def _grow(
     while stack:
         word = stack.pop()
         size = len(word) + 1
-        if size > n:
+        if size > lo:
             yield word
+        if size > n:
             continue
         free = range(size)
         for free_slots in rules:
@@ -110,25 +116,32 @@ def _grow(
                 stack.append(child)
 
 
-def _leaves(
-    n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
+def _avoiders(
+    lo: int, n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """The chain avoiders of size n below the given level-1 tree nodes."""
+    """The chain avoiders of every size from lo to n in and below the given
+    level-1 tree nodes, in the order of _grow."""
     scratch = _scratch_for(prepared)
-    for word in _grow(nodes, n, prepared, scratch):
+    for word in _grow(nodes, lo, n, prepared, scratch):
         if _avoids_prepared(word, prepared, scratch, 1):
             yield word
 
 
+def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """The given words of sizes lo to n, counted for each size by the
+    position of 1."""
+    splits = [[0] * size for size in range(lo, n + 1)]
+    for word in words:
+        splits[len(word) - lo][word.index(1)] += 1
+    return splits
+
+
 def _count_below(
-    n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
-) -> tuple[int, list[int]]:
-    total = 0
-    by_pos = [0] * n
-    for word in _leaves(n, prepared, nodes):
-        total += 1
-        by_pos[word.index(1)] += 1
-    return total, by_pos
+    lo: int, n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
+) -> list[list[int]]:
+    """One shard: the split of the chain avoiders of each size from lo to n
+    below the given level-1 tree nodes."""
+    return _split(lo, n, _avoiders(lo, n, prepared, nodes))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -156,24 +169,25 @@ def _pool_size(jobs: int, shards: int) -> int:
     return max(1, min(jobs, shards, cpus))
 
 
-def count_chain(
-    n: int, chain: ChainSpec, *, jobs: int = 1, force: bool = False
-) -> CountRefinement:
-    """Count the chain avoiders in S_n by walking the level-1 generating tree.
-
-    jobs > 1 allows a process pool for large trees (see MIN_POOL_FRONTIER).
-    Results do not depend on the worker count.
-    """
-    _check_size(n, force)
-    if n == 0:
-        return CountRefinement(0, chain, 1, ())
-    prepared = _prepare_levels(chain.level_values())
-    frontier = list(_grow([()], n // 2, prepared, _scratch_for(prepared)))
+def _walk(n: int, prepared: PreparedLevels, jobs: int) -> list[list[int]]:
+    """The split by the position of 1 for every size 1 to n, from one walk
+    of the level-1 tree.  The parent counts the sizes up to the middle
+    depth n // 2 while it grows the nodes there; below each of those
+    nodes, a shard counts the deeper sizes."""
+    half = n // 2
+    scratch = _scratch_for(prepared)
+    top = list(_grow([()], 1, half, prepared, scratch))
+    frontier = [word for word in top if len(word) == half] if half else [()]
+    splits = _split(1, half, (w for w in top if _avoids_prepared(w, prepared, scratch, 1)))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        total, by_pos = _count_below(n, prepared, frontier)
+        shards = [_count_below(half + 1, n, prepared, frontier)]
     else:
-        tasks = [(n, prepared, (node,)) for node in frontier]
+        # Imported only where a pool opens, so that the many runs that open
+        # none do not pay for the import.
+        import multiprocessing
+
+        tasks = [(half + 1, n, prepared, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
         # interrupts only this process, whose leaving the with block
         # terminates them.
@@ -184,17 +198,60 @@ def count_chain(
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with pool:
             shards = pool.starmap(_count_below, tasks)
-        total = sum(t for t, _ in shards)
-        by_pos = [sum(col) for col in zip(*(b for _, b in shards))]
-    return CountRefinement(n, chain, total, tuple(by_pos))
+    return splits + [[sum(col) for col in zip(*sizes)] for sizes in zip(*shards)]
+
+
+# The counts of every chain walked in this process, for sizes 1 to the
+# largest n it was walked to (see count_chain).
+_COUNTS: dict[ChainSpec, tuple[CountRefinement, ...]] = {}
+
+
+def count_chain(
+    n: int, chain: ChainSpec, *, jobs: int = 1, force: bool = False
+) -> CountRefinement:
+    """Count the chain avoiders in S_n by walking the level-1 generating tree.
+
+    One walk to n counts every size from 1 to n, and those counts are kept
+    per chain for the life of the process: a later call for a size up to
+    n is a lookup, and one for a larger size walks again and replaces
+    them.  jobs > 1 allows a process pool for large trees (see
+    MIN_POOL_FRONTIER).  Results do not depend on the worker count.
+    """
+    _check_size(n, force)
+    if n == 0:
+        return CountRefinement(0, chain, 1, ())
+    counts = _COUNTS.get(chain, ())
+    if len(counts) < n:
+        splits = _walk(n, _prepared_chain(chain.level_values()), jobs)
+        counts = tuple(
+            CountRefinement(size, chain, sum(split), tuple(split))
+            for size, split in enumerate(splits, start=1)
+        )
+        _COUNTS[chain] = counts
+    return counts[n - 1]
 
 
 def count_sequence(
     chain: ChainSpec, n_max: int, *, jobs: int = 1, force: bool = False
 ) -> list[int]:
-    """Totals of count_chain for n = 1, ..., n_max."""
-    _check_size(n_max, force)
-    return [count_chain(n, chain, jobs=jobs, force=force).total for n in range(1, n_max + 1)]
+    """Totals of count_chain for n = 1, ..., n_max, from one walk."""
+    count_chain(n_max, chain, jobs=jobs, force=force)
+    return [ref.total for ref in _COUNTS.get(chain, ())[:n_max]]
+
+
+def walk_chain_avoiders(
+    n: int, chain: ChainSpec, *, force: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Stream the chain avoiders of every size 0, ..., n as raw words, in
+    the order one walk of the generating tree reaches them: sizes are
+    interleaved, and each word comes after the word it grew from.
+
+    >>> from .chains import parse_chain
+    >>> sorted(walk_chain_avoiders(3, parse_chain("312:312")))
+    [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
+    """
+    _check_size(n, force)
+    return _avoiders(0, n, _prepared_chain(chain.level_values()), [()])
 
 
 def list_chain_avoiders(
@@ -206,10 +263,10 @@ def list_chain_avoiders(
     found and sorted before the first is yielded.
     """
     _check_size(n, force)
-    prepared = _prepare_levels(chain.level_values())
+    prepared = _prepared_chain(chain.level_values())
 
     def gen() -> Iterator[Permutation]:
-        for word in sorted(_leaves(n, prepared, [()])):
+        for word in sorted(_avoiders(n, n, prepared, [()])):
             yield Permutation(word)
 
     return gen()

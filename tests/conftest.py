@@ -1,5 +1,9 @@
 """Shared fixtures and the acceptance-criteria summary."""
 
+import pytest
+
+from chainperm import enumeration
+
 CRITERIA = (
     ("test_criterion_1_formula_sweep_matches_enumeration",
      "criterion 1: all nine stored formulas match enumeration up to n = 8"),
@@ -20,6 +24,31 @@ CRITERIA = (
 )
 
 _CRITERION_BY_TEST = dict(CRITERIA)
+
+
+@pytest.fixture(autouse=True)
+def fresh_counts():
+    """count_chain keeps its counts for the life of the process; each test
+    starts without them, so that none reads another test's counts."""
+    enumeration._COUNTS.clear()
+    yield
+    enumeration._COUNTS.clear()
+
+
+@pytest.fixture
+def root_walks(monkeypatch):
+    """The walks of a level-1 tree that start at its root, one entry each."""
+    roots = []
+    grow = enumeration._grow
+
+    def spy(nodes, *args):
+        nodes = list(nodes)
+        if nodes == [()]:
+            roots.append(args)
+        return grow(nodes, *args)
+
+    monkeypatch.setattr(enumeration, "_grow", spy)
+    return roots
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -244,7 +244,12 @@ def test_structure_same_size_mismatch_exits_1(capsys, monkeypatch):
     )
     code, out, err = run_cli(capsys, "structure", "--n-max", "4")
     assert code == 1
-    assert "counterexample at n=4" in err
+    # Of the two mismatching words, 2341 and 4321, the report names the
+    # lexicographically first.
+    assert err.splitlines() == [
+        "form count mismatch at n=4: 2 words classified, 2 unimodal forms",
+        "counterexample at n=4: the square of 2341 is 3412, which contains 312 at positions (1, 3, 4)",
+    ]
     assert len(parse_csv(out)) == 4
 
 
@@ -282,6 +287,37 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
     assert counted == []
+
+
+def test_verify_walks_each_chain_once(capsys, root_walks):
+    code, out, err = run_cli(capsys, "verify", "--tags", "T41", "--n-max", "9")
+    assert code == 0
+    assert len(parse_csv(out)) == 18
+    assert len(root_walks) == 2
+
+
+def test_reports_match_benchmark_references(capsys):
+    # The same runs and bytes that perfbench/run.py compares.
+    refs = PYPROJECT.parent / "perfbench" / "refs"
+    runs = (
+        (("verify", "--tags", "all", "--n-max", "8", "--jobs", "2"), "table-verify.csv", 1,
+         "disagreement: tag=T31 n=5 side=231 brute_force=6 formula=7\n"),
+        (("symmetry", "--n-max", "8", "--jobs", "2"), "table-symmetry.csv", 0, ""),
+        (("structure", "--n-max", "10", "--format", "json"), "structure.json", 0, ""),
+    )
+    for argv, ref, exit_code, stderr in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (exit_code, stderr), argv
+        assert out.encode() == (refs / ref).read_bytes(), argv
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    # Only a pool needs multiprocessing; short runs should not pay for it.
+    result = run_child(
+        [sys.executable, "-c", "import sys, chainperm.cli; print('multiprocessing' in sys.modules)"]
+    )
+    assert result.returncode == 0, describe(result)
+    assert result.stdout == "False\n"
 
 
 def test_tracer_names_exist_in_cli():
@@ -370,8 +406,9 @@ def test_installed_console_script():
     "and two usable CPUs for a pool to open",
 )
 def test_ctrl_c_during_pooled_count_exits_130():
-    # Counting 312 up to n = 14 opens a pool from n = 10 on and runs for
-    # minutes; SIGINT goes to the whole process group, as Ctrl-C does.
+    # Counting 312 up to n = 14 walks its tree once, in a pool from the
+    # start, for longer than the test waits; SIGINT goes to the whole process
+    # group, as Ctrl-C does.
     argv = [sys.executable, "-m", "chainperm", "count", "--chain", "312", "--n-max", "14", "--jobs", "2"]
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),

@@ -21,6 +21,7 @@ from chainperm import (
     list_chain_avoiders,
     parse_chain,
 )
+from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
 from helpers import scan_count_chain
 
@@ -94,15 +95,19 @@ def test_refinement_sums_to_total():
             assert len(ref.by_position_of_one) == n
 
 
-def test_count_agrees_with_scan_oracle():
+def test_count_agrees_with_scan_oracle(root_walks):
     for chain in TABLE_CHAINS:
+        count_chain(8, chain)
         levels = chain.level_values()
-        for n in range(1, 7):
+        for n in range(1, 9):
             ref = count_chain(n, chain)
+            assert (ref.n, ref.chain) == (n, chain)
             assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels), (chain, n)
+    assert len(root_walks) == len(TABLE_CHAINS)
 
 
 def test_tree_matches_brute_force_for_table_chains():
+    walked = {chain: sorted(walk_chain_avoiders(8, chain)) for chain in TABLE_CHAINS}
     for n in range(1, 9):
         words = list(generate_sn(n))
         # A word that contains 231 (or 312) fails, at level 1, every chain
@@ -118,6 +123,7 @@ def test_tree_matches_brute_force_for_table_chains():
             assert ref.by_position_of_one == split_by_position_of_one(avoiders, n), (chain, n)
             listed = [p.values for p in list_chain_avoiders(n, chain)]
             assert listed == avoiders, (chain, n)
+            assert [w for w in walked[chain] if len(w) == n] == avoiders, (chain, n)
 
 
 def _chain_of(levels):
@@ -140,6 +146,7 @@ _levels = st.lists(st.lists(_patterns, min_size=1, max_size=3), min_size=1, max_
 @example([[(2, 3, 1), (1, 4, 3, 2)], [(2, 3, 1)]], 7)
 @example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], 7)
 def test_tree_matches_brute_force_on_random_chains(levels, n):
+    enumeration._COUNTS.clear()
     chain = _chain_of(levels)
     avoiders = brute_avoiders(generate_sn(n), chain)
     ref = count_chain(n, chain)
@@ -148,6 +155,22 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
         split_by_position_of_one(avoiders, n),
     )
     assert [p.values for p in list_chain_avoiders(n, chain)] == avoiders
+    # The one walk to n also counted every smaller size.
+    for m in range(1, n):
+        ref = count_chain(m, chain)
+        assert (ref.total, ref.by_position_of_one) == scan_count_chain(m, levels), m
+
+
+def test_counts_are_kept_per_chain(root_walks):
+    chain = parse_chain("312,3214:312")
+    at_6 = count_chain(6, chain)
+    assert count_chain(4, parse_chain("312,3214:312"), jobs=2).total == 8
+    assert len(root_walks) == 1
+    assert count_chain(8, chain).total == 71
+    assert len(root_walks) == 2
+    assert count_chain(6, chain) == at_6
+    assert count_sequence(chain, 8) == [1, 2, 4, 8, 14, 25, 42, 71]
+    assert len(root_walks) == 2
 
 
 def test_count_empty_size():
@@ -182,11 +205,16 @@ def spy_on_pools(monkeypatch):
 def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
     opened = spy_on_pools(monkeypatch)
-    for text, n in (("312,3214:312", 9), ("13245:2143:312", 7)):
+    for text, n_max in (("312,3214:312", 9), ("13245:2143:312", 7)):
         chain = parse_chain(text)
-        serial = count_chain(n, chain, jobs=1)
+        count_chain(n_max, chain, jobs=1)
+        serial = [count_chain(n, chain) for n in range(1, n_max + 1)]
         for jobs in (2, 3, 8):
-            assert count_chain(n, chain, jobs=jobs) == serial, (text, jobs)
+            # Without the kept counts, each jobs value walks and pools again.
+            enumeration._COUNTS.clear()
+            count_chain(n_max, chain, jobs=jobs)
+            pooled = [count_chain(n, chain) for n in range(1, n_max + 1)]
+            assert pooled == serial, (text, jobs)
     cpus = enumeration._pool_size(10**6, 10**6)
     assert all(2 <= workers <= cpus for workers in opened)
     if cpus > 1:
