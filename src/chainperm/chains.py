@@ -15,18 +15,11 @@ permutation would collide with the pattern separator.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import (
-    Length3Rule,
-    Pattern,
-    ParseError,
-    _length3_rule,
-    _match,
-    _prefix_bounds,
-    parse_pattern,
-)
+from .patterns import Pattern, ParseError, Prepared, _prepare, parse_pattern
 from .perm import Permutation
 
 Level = tuple[Pattern, ...]
+LevelValues = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ class ChainSpec:
         """Canonical chain text, e.g. '231,1432:231'."""
         return ":".join(",".join(p.text() for p in level) for level in self.levels)
 
-    def level_values(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def level_values(self) -> LevelValues:
         """The raw value words of every pattern, grouped by level."""
         return tuple(tuple(p.values for p in level) for level in self.levels)
 
@@ -96,53 +89,31 @@ def parse_chain(text: str) -> ChainSpec:
     return ChainSpec(tuple(levels))
 
 
-PreparedLevels = tuple[tuple[tuple[int, int, tuple, Length3Rule | None], ...], ...]
+PreparedLevels = tuple[tuple[Prepared, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _prepared_chain(level_values: tuple[tuple[tuple[int, ...], ...], ...]) -> PreparedLevels:
-    """Resolve each pattern of a chain to (length, slot of its maximum,
-    prefix bounds, rule), once per chain.  The rule is the O(n) test of a
-    pattern of length 3, and None for the other lengths, which the
-    backtracking search decides.  The patterns of strongly_avoids may come
-    from any Permutation, so the empty pattern is rejected here."""
-    if not all(pat for level in level_values for pat in level):
-        raise ValueError("a pattern must have length >= 1")
-    return tuple(
-        tuple(
-            (len(pat), pat.index(len(pat)), _prefix_bounds(pat), _length3_rule(pat))
-            for pat in level
-        )
-        for level in level_values
-    )
+def _prepared_chain(level_values: LevelValues) -> PreparedLevels:
+    """Resolve each pattern of a chain to its prepared form, once per chain.
+    The patterns of strongly_avoids may come from any Permutation, so
+    _matcher rejects the empty pattern here."""
+    return tuple(tuple(map(_prepare, level)) for level in level_values)
 
 
-def _avoids_prepared(
-    values: tuple[int, ...], prepared: PreparedLevels, scratch: list[int], first: int = 0
-) -> bool:
+def _avoids_prepared(values: tuple[int, ...], prepared: PreparedLevels, first: int = 0) -> bool:
     """Chain predicate on a raw word, checking the levels from index first
     on (the caller has settled the ones before); powers are built
     incrementally."""
-    n = len(values)
     cur = values
     for depth, level in enumerate(prepared):
         if depth:
-            cur = tuple(values[v - 1] for v in cur)
+            cur = tuple([values[v - 1] for v in cur])
         if depth < first:
             continue
-        for k, _, bounds, rule in level:
-            if k <= n and (
-                rule.kernel(rule.view(cur))
-                if rule is not None
-                else _match(cur, bounds, scratch, 0, 0, n, k)
-            ):
+        for _, rule, match in level:
+            if match(cur) if rule is None else rule.kernel(rule.view(cur)):
                 return False
     return True
-
-
-def _scratch_for(prepared: PreparedLevels) -> list[int]:
-    longest = max((k for level in prepared for k, *_ in level), default=1)
-    return [0] * longest
 
 
 def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
@@ -152,8 +123,7 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    prepared = _prepared_chain(chain.level_values())
-    return _avoids_prepared(pi.values, prepared, _scratch_for(prepared))
+    return _avoids_prepared(pi.values, _prepared_chain(chain.level_values()))
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
@@ -161,5 +131,4 @@ def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    prepared = _prepared_chain(((tau.values,), (tau.values,)))
-    return _avoids_prepared(pi.values, prepared, [0] * len(tau.values))
+    return _avoids_prepared(pi.values, _prepared_chain(((tau.values,), (tau.values,))))

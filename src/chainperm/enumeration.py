@@ -9,12 +9,13 @@ Generating trees and the Catalan and Schroder numbers, Discrete Math.
 occurrence passes through the inserted maximum, the only kind it can
 add.  For a pattern of length 3 one O(n) pass over the node gives the
 slots where that holds, its active sites (see patterns.Length3Rule);
-the pinned search runs only for longer patterns, and only on those
-slots.  Deeper levels are not closed under deleting the maximum, so they
-are checked on every node the walk reaches.  The nodes at depth m are
-exactly the level-1 avoiders of size m, so one walk to n counts every
-size up to n; count_chain keeps those counts per chain for the life of
-the process, and walk_chain_avoiders streams the words of every size.
+the compiled pinned search of patterns._matcher runs only for longer
+patterns, and only on those slots.  Deeper levels are not closed under
+deleting the maximum, so they are checked on every node the walk
+reaches.  The nodes at depth m are exactly the level-1 avoiders of size
+m, so one walk to n counts every size up to n; count_chain keeps those
+counts per chain for the life of the process, and walk_chain_avoiders
+streams the words of every size.
 
 Large trees are counted in a process pool.  The parent counts the sizes
 up to the middle depth n // 2 while it grows the nodes there, and each
@@ -30,8 +31,8 @@ import signal
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, PreparedLevels, _avoids_prepared, _prepared_chain, _scratch_for
-from .patterns import _match_pinned
+from .chains import ChainSpec, LevelValues, PreparedLevels, _avoids_prepared, _prepared_chain
+from .patterns import _matcher
 from .perm import Permutation
 
 MAX_ENUMERATION_N = 14
@@ -87,14 +88,14 @@ class CountRefinement:
 
 
 def _grow(
-    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedLevels, scratch: list[int]
+    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedLevels
 ) -> Iterator[tuple[int, ...]]:
     """The level-1 avoiders of every size from lo to n in and below the
     given tree nodes, which must themselves avoid level 1 and have size at
     most n; each word comes before the words grown from it.  A child is
     built only at the slots that every length-3 rule leaves free."""
-    rules = [rule.free_slots for *_, rule in prepared[0] if rule is not None]
-    searched = [(k, top, bounds) for k, top, bounds, rule in prepared[0] if rule is None]
+    rules = [rule.free_slots for _, rule, _ in prepared[0] if rule is not None]
+    pinned = [_matcher(pattern, pinned=True) for pattern, rule, _ in prepared[0] if rule is None]
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -106,11 +107,10 @@ def _grow(
         free = range(size)
         for free_slots in rules:
             free = [i for i in free_slots(word) if i in free]
-        live = [pat for pat in searched if pat[0] <= size]
         for i in free:
             child = word[:i] + (size,) + word[i:]
-            for k, top, bounds in live:
-                if _match_pinned(child, bounds, scratch, 0, 0, size, k, top, i):
+            for match in pinned:
+                if match(child, i):
                     break
             else:
                 stack.append(child)
@@ -121,9 +121,8 @@ def _avoiders(
 ) -> Iterator[tuple[int, ...]]:
     """The chain avoiders of every size from lo to n in and below the given
     level-1 tree nodes, in the order of _grow."""
-    scratch = _scratch_for(prepared)
-    for word in _grow(nodes, lo, n, prepared, scratch):
-        if _avoids_prepared(word, prepared, scratch, 1):
+    for word in _grow(nodes, lo, n, prepared):
+        if _avoids_prepared(word, prepared, 1):
             yield word
 
 
@@ -137,11 +136,13 @@ def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]
 
 
 def _count_below(
-    lo: int, n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
+    lo: int, n: int, level_values: LevelValues, nodes: Iterable[tuple[int, ...]]
 ) -> list[list[int]]:
     """One shard: the split of the chain avoiders of each size from lo to n
-    below the given level-1 tree nodes."""
-    return _split(lo, n, _avoiders(lo, n, prepared, nodes))
+    below the given level-1 tree nodes.  A shard names its chain by its
+    patterns, since the compiled searches of its prepared form do not
+    pickle; a forked worker finds that form in the cache it inherits."""
+    return _split(lo, n, _avoiders(lo, n, _prepared_chain(level_values), nodes))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -169,25 +170,25 @@ def _pool_size(jobs: int, shards: int) -> int:
     return max(1, min(jobs, shards, cpus))
 
 
-def _walk(n: int, prepared: PreparedLevels, jobs: int) -> list[list[int]]:
+def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
     of the level-1 tree.  The parent counts the sizes up to the middle
     depth n // 2 while it grows the nodes there; below each of those
     nodes, a shard counts the deeper sizes."""
     half = n // 2
-    scratch = _scratch_for(prepared)
-    top = list(_grow([()], 1, half, prepared, scratch))
+    prepared = _prepared_chain(level_values)
+    top = list(_grow([()], 1, half, prepared))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, (w for w in top if _avoids_prepared(w, prepared, scratch, 1)))
+    splits = _split(1, half, (w for w in top if _avoids_prepared(w, prepared, 1)))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        shards = [_count_below(half + 1, n, prepared, frontier)]
+        shards = [_count_below(half + 1, n, level_values, frontier)]
     else:
         # Imported only where a pool opens, so that the many runs that open
         # none do not pay for the import.
         import multiprocessing
 
-        tasks = [(half + 1, n, prepared, (node,)) for node in frontier]
+        tasks = [(half + 1, n, level_values, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
         # interrupts only this process, whose leaving the with block
         # terminates them.
@@ -222,7 +223,7 @@ def count_chain(
         return CountRefinement(0, chain, 1, ())
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
-        splits = _walk(n, _prepared_chain(chain.level_values()), jobs)
+        splits = _walk(n, chain.level_values(), jobs)
         counts = tuple(
             CountRefinement(size, chain, sum(split), tuple(split))
             for size, split in enumerate(splits, start=1)

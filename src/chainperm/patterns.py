@@ -1,23 +1,23 @@
 """Classical pattern containment.
 
 A permutation pi contains the pattern tau when some subsequence of pi,
-read left to right, has the same pairwise order as tau.  One
-backtracking search, _match, picks an index for each pattern slot in
+read left to right, has the same pairwise order as tau.  One search per
+pattern, compiled by _matcher, picks an index for each pattern slot in
 turn and prunes as soon as the new value breaks the order of the slots
-picked so far.  It answers yes or no, and on yes its list of picked
-indices is the lexicographically first witness, so contains, avoids and
-find_occurrence all run it.  Its pinned variant, _match_pinned, looks
-only at occurrences that put the pattern's maximum at a given index:
-the ones that inserting a maximum in the generating tree of
-enumeration.py can create.
+picked so far.  Its loops are written out as source, one for loop per
+slot and one comparison of locals per bound, and it returns the
+lexicographically first witness, so contains, avoids and find_occurrence
+all run it.  Its pinned form looks only at occurrences that put the
+pattern's maximum at a given index: the ones that inserting a maximum in
+the generating tree of enumeration.py can create.
 
 Patterns of length 3 also have a Length3Rule, which decides both
 questions in O(n) and which the chain predicate and the tree use in
 place of the search: 231 by one stack pass, 123 by two running minima,
 the other four through reversal or complement of the word, and the free
 slots for a new maximum from the sides and the order of the two entries
-beside the pattern's 3.  The backtracking search stays the one generic
-path for every other length.
+beside the pattern's 3.  The compiled search stays the one generic path
+for every other length.
 """
 
 import operator
@@ -49,80 +49,105 @@ def parse_pattern(text: str) -> Pattern:
         raise ParseError(f"invalid pattern {text!r}: {exc}") from None
 
 
+# Python refuses more than 20 statically nested blocks in one function, so
+# the loops of a longer pattern are split into functions of at most this
+# many slots, each called from the innermost loop of the one before.
+_SLOTS_PER_FUNCTION = 16
+
+Matcher = Callable[..., tuple[int, ...] | None]
+
+
 @lru_cache(maxsize=None)
-def _prefix_bounds(pattern: tuple[int, ...]) -> tuple[tuple[int | None, int | None], ...]:
-    """For each slot s, the earlier slots holding the tightest values
-    below and above pattern[s].  A candidate value for slot s is valid
-    exactly when it lies strictly between the values at the indices
-    chosen for those two slots, which is the full order-isomorphism test
-    in O(1)."""
-    bounds = []
-    for s, ps in enumerate(pattern):
-        lo = hi = None
-        lo_val = hi_val = None
-        for t in range(s):
-            pt = pattern[t]
-            if pt < ps and (lo_val is None or pt > lo_val):
-                lo, lo_val = t, pt
-            if pt > ps and (hi_val is None or pt < hi_val):
-                hi, hi_val = t, pt
-        bounds.append((lo, hi))
-    return tuple(bounds)
+def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
+    """The containment search for one pattern, written out as nested loops.
 
+    The function returned takes a word, and when pinned also an index p,
+    and returns the 0-based indices of the lexicographically first
+    occurrence, or None.  Each pattern slot is one for loop over the
+    indices left for it, and each prefix bound one comparison of local
+    variables; the source is compiled once per pattern, the way
+    collections.namedtuple writes its classes.  A pinned search looks only
+    at occurrences that put the pattern's maximum at index p, where the
+    word must hold its own maximum: the ones that inserting a maximum in
+    the generating tree of enumeration.py can create.  That entry fits its
+    slot whatever else is chosen, so the slots before it search left of p,
+    the ones after it right of p, and no slot compares with it.
 
-def _match(
-    values: tuple[int, ...],
-    bounds: tuple[tuple[int | None, int | None], ...],
-    chosen: list[int],
-    s: int,
-    start: int,
-    n: int,
-    k: int,
-) -> bool:
-    """Fill slots s..k-1 of chosen with increasing indices from start on;
-    on success chosen holds the lexicographically first such witness."""
-    lo, hi = bounds[s]
-    lo_v = values[chosen[lo]] if lo is not None else 0
-    hi_v = values[chosen[hi]] if hi is not None else n + 1
-    last = s == k - 1
-    for i in range(start, n - k + s + 1):
-        v = values[i]
-        if lo_v < v < hi_v:
-            chosen[s] = i
-            if last or _match(values, bounds, chosen, s + 1, i + 1, n, k):
-                return True
-    return False
+    The source holds only slot numbers and offsets computed from the
+    pattern, which must be a permutation of 1..k with k >= 1.  The public
+    searches accept any Permutation as the pattern, so the empty one is
+    rejected here.
+    """
+    k = len(pattern)
+    if not k:
+        raise ValueError("a pattern must have length >= 1")
+    if sorted(pattern) != list(range(1, k + 1)):
+        raise ValueError(f"a pattern must be a permutation of 1..{k}: {pattern!r}")
+    top = pattern.index(k) if pinned else None
+    where = {v: t for t, v in enumerate(pattern)}
 
+    def nearest(s: int, values: range) -> int | None:
+        """The slot of the first of the values to sit before slot s, leaving
+        out a pinned maximum, which fits every bound."""
+        return next((where[v] for v in values if where[v] < s and where[v] != top), None)
 
-def _match_pinned(
-    values: tuple[int, ...],
-    bounds: tuple[tuple[int | None, int | None], ...],
-    chosen: list[int],
-    s: int,
-    start: int,
-    n: int,
-    k: int,
-    top: int,
-    pin: int,
-) -> bool:
-    """_match restricted to occurrences that put pattern slot top, the
-    slot of the pattern's maximum, at index pin, where the word holds its
-    own maximum n.  That entry fits slot top whatever else is chosen, so
-    the slots before top search left of pin, and _match fills the rest
-    right of it."""
-    if s == top:
-        chosen[s] = pin
-        return s == k - 1 or _match(values, bounds, chosen, s + 1, pin + 1, n, k)
-    lo, hi = bounds[s]
-    lo_v = values[chosen[lo]] if lo is not None else 0
-    hi_v = values[chosen[hi]] if hi is not None else n + 1
-    for i in range(start, pin - top + s + 1):
-        v = values[i]
-        if lo_v < v < hi_v:
-            chosen[s] = i
-            if _match_pinned(values, bounds, chosen, s + 1, i + 1, n, k, top, pin):
-                return True
-    return False
+    # For each slot, the earlier slots holding the tightest values below and
+    # above its own.  A candidate fits exactly when it lies strictly between
+    # the values chosen for those two, the full order-isomorphism test.
+    bounds = [
+        (nearest(s, range(v - 1, 0, -1)), nearest(s, range(v + 1, k + 1)))
+        for s, v in enumerate(pattern)
+    ]
+    used = {t for pair in bounds for t in pair if t is not None}
+
+    def params(a: int) -> str:
+        """The arguments of the function for the slots from a on: the word,
+        the pin, the size, the index of slot a - 1 and the values of the
+        earlier slots that later slots compare with."""
+        passed = sorted({t for pair in bounds[a:] for t in pair if t is not None and t < a})
+        return ", ".join(["w", "p"][: 1 + pinned] + ["n", f"i{a - 1}"] + [f"v{t}" for t in passed])
+
+    namespace: dict = {}
+    for a in reversed(range(0, k, _SLOTS_PER_FUNCTION)):
+        b = min(a + _SLOTS_PER_FUNCTION, k)
+        if a:
+            lines = [f"def _m{a}({params(a)}):"]
+        else:
+            lines = [f"def _m0({'w, p' if pinned else 'w'}):", "    n = len(w)"]
+        ends = {}
+        for s in range(a, b):
+            ref, gap = ("p", top - s - 1) if top is not None and s < top else ("n", k - s - 1)
+            ends[s] = f"e{s}" if gap else ref
+            if gap and s != top:
+                lines.append(f"    e{s} = {ref} - {gap}")
+        pad = "    "
+        for s in range(a, b):
+            if s == top:
+                lines.append(f"{pad}i{s} = p")
+                continue
+            start = f"i{s - 1} + 1" if s else "0"
+            lines.append(f"{pad}for i{s} in range({start}, {ends[s]}):")
+            pad += "    "
+            value = f"w[i{s}]"
+            if s in used:
+                lines.append(f"{pad}v{s} = {value}")
+                value = f"v{s}"
+            lo, hi = bounds[s]
+            test = [f"v{lo}"] * (lo is not None) + [value] + [f"v{hi}"] * (hi is not None)
+            if len(test) > 1:
+                lines.append(f"{pad}if {' < '.join(test)}:")
+                pad += "    "
+        found = "".join(f"i{s}, " for s in range(a, b))
+        if b == k:
+            lines.append(f"{pad}return ({found})")
+        else:
+            lines.append(f"{pad}rest = _m{b}({params(b)})")
+            lines.append(f"{pad}if rest is not None:")
+            lines.append(f"{pad}    return ({found}) + rest")
+        lines.append("    return None")
+        name = f"<{'pinned ' * pinned}matcher {pattern}>"
+        exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["_m0"]
 
 
 def _same(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,19 +269,14 @@ def _length3_rule(pattern: tuple[int, ...]) -> Length3Rule | None:
     return Length3Rule(free_slots, view, kernel)
 
 
-def _first_occurrence(pi: Permutation, tau: Permutation) -> list[int] | None:
-    """0-based indices of the first occurrence of tau in pi, or None.
+Prepared = tuple[tuple[int, ...], Length3Rule | None, Matcher | None]
 
-    tau may be any Permutation, so the empty pattern is rejected here."""
-    pattern = tau.values
-    if not pattern:
-        raise ValueError("a pattern must have length >= 1")
-    k = len(pattern)
-    n = len(pi.values)
-    chosen = [0] * k
-    if k <= n and _match(pi.values, _prefix_bounds(pattern), chosen, 0, 0, n, k):
-        return chosen
-    return None
+
+def _prepare(pattern: tuple[int, ...]) -> Prepared:
+    """A pattern with the test that decides it: its Length3Rule if it has
+    length 3, else its compiled search; the other one is None."""
+    rule = _length3_rule(pattern)
+    return pattern, rule, _matcher(pattern) if rule is None else None
 
 
 def contains(pi: Permutation, tau: Permutation) -> bool:
@@ -265,12 +285,12 @@ def contains(pi: Permutation, tau: Permutation) -> bool:
     >>> contains(Permutation((2, 4, 1, 5, 3)), Pattern((1, 3, 2)))
     True
     """
-    return _first_occurrence(pi, tau) is not None
+    return _matcher(tau.values)(pi.values) is not None
 
 
 def avoids(pi: Permutation, tau: Permutation) -> bool:
     """True when pi has no occurrence of tau."""
-    return _first_occurrence(pi, tau) is None
+    return _matcher(tau.values)(pi.values) is None
 
 
 def find_occurrence(pi: Permutation, tau: Permutation) -> tuple[int, ...] | None:
@@ -282,5 +302,5 @@ def find_occurrence(pi: Permutation, tau: Permutation) -> tuple[int, ...] | None
     >>> find_occurrence(Permutation((2, 4, 1, 5, 3)), Pattern((1, 3, 2)))
     (1, 2, 5)
     """
-    chosen = _first_occurrence(pi, tau)
+    chosen = _matcher(tau.values)(pi.values)
     return None if chosen is None else tuple(i + 1 for i in chosen)

@@ -26,15 +26,21 @@ def first_occurrence_scan(word, pattern):
     return None
 
 
-def scan_contains_through_max(word, pattern, index):
-    """Containment restricted to occurrences that put word[index] (0-based)
-    at the slot of the pattern's maximum."""
+def first_occurrence_through_max(word, pattern, index):
+    """The first matching index combination, 1-based, among those that put
+    word[index] (0-based) at the slot of the pattern's maximum, or None."""
     k = len(pattern)
     top = pattern.index(k)
     for idxs in itertools.combinations(range(len(word)), k):
         if idxs[top] == index and _order_isomorphic(tuple(word[i] for i in idxs), pattern):
-            return True
-    return False
+            return tuple(i + 1 for i in idxs)
+    return None
+
+
+def scan_contains_through_max(word, pattern, index):
+    """Containment restricted to occurrences that put word[index] (0-based)
+    at the slot of the pattern's maximum."""
+    return first_occurrence_through_max(word, pattern, index) is not None
 
 
 def _order_isomorphic(sub, pattern):
@@ -99,3 +105,6 @@ def all_words(n):
 
 PATTERNS_3 = tuple(itertools.permutations((1, 2, 3)))
 PATTERNS_4 = tuple(itertools.permutations((1, 2, 3, 4)))
+PATTERNS_UP_TO_5 = tuple(
+    itertools.chain.from_iterable(itertools.permutations(range(1, k + 1)) for k in range(1, 6))
+)

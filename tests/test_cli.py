@@ -320,6 +320,14 @@ def test_importing_the_cli_imports_no_multiprocessing():
     assert result.stdout == "False\n"
 
 
+def test_importing_the_cli_compiles_no_matcher():
+    # Each pattern's search is compiled on first use, never at start-up.
+    code = "import chainperm.cli, chainperm.patterns as p; print(p._matcher.cache_info().currsize)"
+    result = run_child([sys.executable, "-c", code])
+    assert result.returncode == 0, describe(result)
+    assert result.stdout == "0\n"
+
+
 def test_tracer_names_exist_in_cli():
     # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
     path = PYPROJECT.parent / "perfbench" / "tracing.py"

@@ -1,6 +1,7 @@
 """Pattern containment against an independent full-scan oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,14 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.patterns import _length3_rule, _match_pinned, _prefix_bounds
+from chainperm.patterns import _length3_rule, _matcher
 from helpers import (
     PATTERNS_3,
     PATTERNS_4,
+    PATTERNS_UP_TO_5,
     all_words,
     first_occurrence_scan,
+    first_occurrence_through_max,
     scan_contains,
     scan_contains_through_max,
 )
@@ -91,29 +94,73 @@ def test_find_occurrence_example():
     assert find_occurrence(parse_permutation("1432"), parse_pattern("312")) is None
 
 
+def one_based(indices):
+    return None if indices is None else tuple(i + 1 for i in indices)
+
+
 def test_find_occurrence_is_lexicographically_first():
-    for n in range(1, 7):
+    for n in range(0, 7):
         for word in all_words(n):
             pi = Permutation(word)
-            for pattern in ALL_SMALL_PATTERNS:
+            for pattern in PATTERNS_UP_TO_5:
                 assert find_occurrence(pi, Pattern(pattern)) == first_occurrence_scan(
                     word, pattern
                 )
 
 
 def test_pinned_search_agrees_with_scan_oracle():
-    # The generating tree asks only for occurrences through the maximum.
+    # The generating tree asks only for occurrences through the maximum.  The
+    # pinned search returns the first of them, also for patterns longer than
+    # the word.
     for m in range(1, 7):
         for word in all_words(m):
             pin = word.index(m)
-            for pattern in ALL_SMALL_PATTERNS:
-                k = len(pattern)
-                if k > m:
-                    continue
-                found = _match_pinned(
-                    word, _prefix_bounds(pattern), [0] * k, 0, 0, m, k, pattern.index(k), pin
-                )
-                assert found == scan_contains_through_max(word, pattern, pin), (word, pattern)
+            for pattern in PATTERNS_UP_TO_5:
+                found = _matcher(pattern, pinned=True)(word, pin)
+                expected = first_occurrence_through_max(word, pattern, pin)
+                assert one_based(found) == expected, (word, pattern)
+
+
+def with_entries_added(word, extra, rng):
+    """word with extra new entries at random places and of random ranks, so
+    that it still contains word."""
+    values = [2 * v for v in word]
+    for odd in rng.sample(range(1, 2 * len(word) + 2, 2), extra):
+        values.insert(rng.randrange(len(values) + 1), odd)
+    ranks = {v: r for r, v in enumerate(sorted(values), start=1)}
+    return tuple(ranks[v] for v in values)
+
+
+@pytest.mark.parametrize("k, top", [(21, 2), (21, 19), (25, 16), (25, 24)])
+def test_patterns_longer_than_one_generated_function(k, top):
+    # Python refuses more than 20 nested loops in one function, so these
+    # searches run through a chain of generated functions.  Maxima in the
+    # first and in a later function exercise both places a pin can sit.
+    rng = random.Random(k * 100 + top)
+    rest = rng.sample(range(1, k), k - 1)
+    pattern = tuple(rest[:top] + [k] + rest[top:])
+    tau = Pattern(pattern)
+    words = [pattern, tuple(rng.sample(range(1, k + 3), k + 2))]
+    words += [with_entries_added(pattern, extra, rng) for extra in (1, 1, 2, 2, 2)]
+    outcomes = set()
+    for word in words:
+        pi = Permutation(word)
+        expected = first_occurrence_scan(word, pattern)
+        assert find_occurrence(pi, tau) == expected, word
+        assert contains(pi, tau) == (expected is not None)
+        outcomes.add(expected is None)
+        pin = word.index(len(word))
+        found = _matcher(pattern, pinned=True)(word, pin)
+        assert one_based(found) == first_occurrence_through_max(word, pattern, pin), word
+    assert outcomes == {True, False}
+
+
+def test_matcher_is_built_only_from_permutations():
+    # The search is compiled from source derived from the pattern, so
+    # anything but a permutation of 1..k is refused before any is written.
+    for bad in ((), (1, 1), (0, 1), (2, 3), (1, 3)):
+        with pytest.raises(ValueError):
+            _matcher(bad)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
@@ -158,16 +205,21 @@ def test_engine_agrees_with_scan_oracle_exhaustively():
                 assert contains(pi, Pattern(pattern)) == scan_contains(word, pattern)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.integers(min_value=7, max_value=8).flatmap(
+    st.integers(min_value=7, max_value=10).flatmap(
         lambda n: st.permutations(list(range(1, n + 1)))
     ),
-    st.sampled_from(ALL_SMALL_PATTERNS),
+    st.sampled_from(PATTERNS_UP_TO_5),
 )
 def test_engine_agrees_with_scan_oracle_sampled(word, pattern):
     word = tuple(word)
-    assert contains(Permutation(word), Pattern(pattern)) == scan_contains(word, pattern)
+    pi, tau = Permutation(word), Pattern(pattern)
+    assert contains(pi, tau) == scan_contains(word, pattern)
+    assert find_occurrence(pi, tau) == first_occurrence_scan(word, pattern)
+    pin = word.index(len(word))
+    found = _matcher(pattern, pinned=True)(word, pin)
+    assert one_based(found) == first_occurrence_through_max(word, pattern, pin)
 
 
 @settings(max_examples=120, deadline=None)
