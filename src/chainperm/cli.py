@@ -4,10 +4,12 @@ Four subcommands, one report schema.  Every report is a table with the
 columns n, chain, brute_force, formula, tag, agree, refinement, written
 as CSV (default) or JSON.  Reports are deterministic: the same
 arguments produce byte-identical output regardless of --jobs.  Each
-chain's generating tree is walked once, to n_max: count, verify and
-symmetry first call count_chain at n_max for every chain they report,
-and their rows for smaller n are lookups; structure takes its
-candidates of every size from one walk of Av(312).
+subcommand returns its rows and its problem lines; main writes the
+report once, then the problem lines to stderr.  Each chain's generating
+tree is walked once, to n_max: count, verify and symmetry take their
+counts from _count_all, which asks for n_max first, so that the smaller
+n are lookups; structure takes its candidates of every size from one
+walk of Av(312).
 
   count      brute-force totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -22,9 +24,10 @@ candidates of every size from one walk of Av(312).
              up by one, with 1 appended.  Every unimodal form must also
              avoid 312 and classify to itself
 
-Exit codes: 0 all checks agree, 1 a disagreement or counterexample was
-found, 2 usage or parse error or an unwritable --out, 130 interrupted
-(Ctrl-C).
+Exit codes: 0 all checks agree, 1 exactly when a problem line (a
+disagreement or counterexample) is printed, 2 usage or parse error or
+an unwritable --out, 130 interrupted (Ctrl-C).  verify's "no rows"
+notice is not a problem line and exits 0.
 """
 
 import argparse
@@ -35,7 +38,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import TextIO
 
 from .chains import parse_chain, strongly_avoids
 from .enumeration import MAX_ENUMERATION_N, count_chain, walk_chain_avoiders
@@ -55,8 +57,8 @@ class VerificationRow:
     """One report line: a brute-force count next to its reference value.
 
     formula holds whatever the row is checked against (a closed form,
-    or the mirrored chain's count); agree must state whether the two
-    values match, and must be true when there is nothing to match.
+    or the mirrored chain's count); the row agrees when the two values
+    match, or when there is nothing to match.
     """
 
     n: int
@@ -64,13 +66,11 @@ class VerificationRow:
     brute_force: int
     formula: int | None = None
     tag: str | None = None
-    agree: bool = True
     refinement: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        expected = self.formula is None or self.formula == self.brute_force
-        if self.agree != expected:
-            raise ValueError("agree must reflect the formula comparison")
+    @property
+    def agree(self) -> bool:
+        return self.formula is None or self.formula == self.brute_force
 
     def csv_fields(self) -> list[str]:
         return [
@@ -95,6 +95,9 @@ class VerificationRow:
         }
 
 
+Outcome = tuple[list[VerificationRow], list[str]]
+
+
 def render_report(rows: list[VerificationRow], fmt: str) -> str:
     if fmt == "json":
         return json.dumps([row.json_object() for row in rows], indent=2) + "\n"
@@ -106,103 +109,72 @@ def render_report(rows: list[VerificationRow], fmt: str) -> str:
     return buffer.getvalue()
 
 
-def cmd_count(args: argparse.Namespace, report: TextIO) -> int:
+def _count_all(args: argparse.Namespace, chains) -> dict:
+    """Every count_chain result of the chains for n = 1..n_max, keyed by
+    (n, chain).  Each chain is asked for n_max first, which walks its tree
+    once; the smaller sizes are then lookups in count_chain's memo."""
+    return {
+        (n, chain): count_chain(n, chain, jobs=args.jobs, force=args.force)
+        for chain in chains
+        for n in range(args.n_max, 0, -1)
+    }
+
+
+def cmd_count(args: argparse.Namespace) -> Outcome:
     chain = parse_chain(args.chain)
-    count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
+    counts = _count_all(args, [chain])
     rows = []
     for n in range(1, args.n_max + 1):
-        ref = count_chain(n, chain, jobs=args.jobs, force=args.force)
+        ref = counts[n, chain]
         rows.append(
-            VerificationRow(
-                n=n,
-                chain=chain.text(),
-                brute_force=ref.total,
-                refinement=ref.by_position_of_one,
-            )
+            VerificationRow(n, chain.text(), ref.total, refinement=ref.by_position_of_one)
         )
-    report.write(render_report(rows, args.format))
-    return 0
+    return rows, []
 
 
 def _selected_formulas(tags_text: str):
     if tags_text.strip().lower() == "all":
         return formula_table()
-    return [formula_by_tag(tag.strip()) for tag in tags_text.split(",")]
+    tags = dict.fromkeys(tag.strip() for tag in tags_text.split(","))
+    return [formula_by_tag(tag) for tag in tags]
 
 
-def cmd_verify(args: argparse.Namespace, report: TextIO) -> int:
-    formulas = _selected_formulas(args.tags)
-    for formula in formulas:
-        if formula.valid_from <= args.n_max:
-            for chain in (formula.chain_231, formula.chain_312):
-                count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
-    rows = []
-    failures = []
+def cmd_verify(args: argparse.Namespace) -> Outcome:
+    formulas = [f for f in _selected_formulas(args.tags) if f.valid_from <= args.n_max]
+    counts = _count_all(args, [c for f in formulas for c in (f.chain_231, f.chain_312)])
+    rows, problems = [], []
     for formula in formulas:
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
             for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
-                got = count_chain(n, chain, jobs=args.jobs, force=args.force).total
-                agree = got == expected
-                rows.append(
-                    VerificationRow(
-                        n=n,
-                        chain=chain.text(),
-                        brute_force=got,
-                        formula=expected,
-                        tag=formula.tag,
-                        agree=agree,
+                got = counts[n, chain].total
+                rows.append(VerificationRow(n, chain.text(), got, expected, formula.tag))
+                if got != expected:
+                    problems.append(
+                        f"disagreement: tag={formula.tag} n={n} side={side} "
+                        f"brute_force={got} formula={expected}"
                     )
-                )
-                if not agree:
-                    failures.append((formula.tag, n, side, got, expected))
     if not rows:
         print("no rows: every selected formula starts above n_max", file=sys.stderr)
-    report.write(render_report(rows, args.format))
-    if failures:
-        tag, n, side, got, expected = failures[0]
-        print(
-            f"disagreement: tag={tag} n={n} side={side} "
-            f"brute_force={got} formula={expected}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    # Only the first failure is printed; the table benchmark compares that line.
+    return rows, problems[:1]
 
 
-def cmd_symmetry(args: argparse.Namespace, report: TextIO) -> int:
-    for formula in formula_table():
-        for chain in (formula.chain_231, formula.chain_312):
-            count_chain(args.n_max, chain, jobs=args.jobs, force=args.force)
-    rows = []
-    failures = []
-    for formula in formula_table():
+def cmd_symmetry(args: argparse.Namespace) -> Outcome:
+    formulas = formula_table()
+    counts = _count_all(args, [c for f in formulas for c in (f.chain_231, f.chain_312)])
+    rows, problems = [], []
+    for formula in formulas:
         for n in range(1, args.n_max + 1):
-            left = count_chain(n, formula.chain_231, jobs=args.jobs, force=args.force).total
-            right = count_chain(n, formula.chain_312, jobs=args.jobs, force=args.force).total
-            agree = left == right
-            rows.append(
-                VerificationRow(
-                    n=n,
-                    chain=formula.chain_231.text(),
-                    brute_force=left,
-                    formula=right,
-                    tag=formula.tag,
-                    agree=agree,
+            left = counts[n, formula.chain_231].total
+            right = counts[n, formula.chain_312].total
+            rows.append(VerificationRow(n, formula.chain_231.text(), left, right, formula.tag))
+            if left != right:
+                problems.append(
+                    f"mirror count mismatch: tag={formula.tag} n={n} "
+                    f"chain_231 count={left} chain_312 count={right}"
                 )
-            )
-            if not agree:
-                failures.append((formula.tag, n, left, right))
-    report.write(render_report(rows, args.format))
-    if failures:
-        tag, n, left, right = failures[0]
-        print(
-            f"mirror count mismatch: tag={tag} n={n} "
-            f"chain_231 count={left} chain_312 count={right}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return rows, problems[:1]
 
 
 def _describe_structure_witness(pi: Permutation) -> str:
@@ -219,7 +191,7 @@ def _describe_structure_witness(pi: Permutation) -> str:
     return f"{pi.text()} and its square {square.text()} both avoid 312"
 
 
-def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
+def cmd_structure(args: argparse.Namespace) -> Outcome:
     sizes = range(1, args.n_max + 1)
     strong_words = {n: set() for n in sizes}
     classified_words = {n: set() for n in sizes}
@@ -240,20 +212,14 @@ def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
             classified_words[n].add(word)
         if is_strong != (k is not None):
             witnesses[n] = min(witnesses.get(n, word), word)
-    rows = []
-    form_mismatches = []
+    rows, problems = [], []
     for n in sizes:
         strong, classified = strong_words[n], classified_words[n]
         # agree compares the counts, as the report schema defines it; a set
         # difference of equal size is caught by the witnesses above.
         rows.append(
             VerificationRow(
-                n=n,
-                chain="312:312",
-                brute_force=len(strong),
-                formula=len(classified),
-                agree=len(strong) == len(classified),
-                refinement=tuple(breakpoint_range(n)),
+                n, "312:312", len(strong), len(classified), refinement=tuple(breakpoint_range(n))
             )
         )
         # The classifier accepts only unimodal forms, so this check stands for
@@ -261,20 +227,16 @@ def cmd_structure(args: argparse.Namespace, report: TextIO) -> int:
         # must avoid 312 and classify to itself.
         forms = {form.values for form in unimodal_forms(n)}
         if classified != forms:
-            form_mismatches.append((n, len(classified), len(forms)))
-    report.write(render_report(rows, args.format))
-    for n, classified, forms in form_mismatches:
-        print(
-            f"form count mismatch at n={n}: {classified} words classified, "
-            f"{forms} unimodal forms",
-            file=sys.stderr,
-        )
+            problems.append(
+                f"form count mismatch at n={n}: {len(classified)} words classified, "
+                f"{len(forms)} unimodal forms"
+            )
     if witnesses:
         # The lexicographically first witness of the smallest size.
         n = min(witnesses)
         witness = _describe_structure_witness(Permutation(witnesses[n]))
-        print(f"counterexample at n={n}: {witness}", file=sys.stderr)
-    return 1 if witnesses or form_mismatches else 0
+        problems.append(f"counterexample at n={n}: {witness}")
+    return rows, problems
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +319,11 @@ def main(argv: list[str] | None = None) -> int:
         # fails at once; like a shell redirection, it is emptied even when
         # the run then fails.
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as report:
-            return args.func(args, report)
+            rows, problems = args.func(args)
+            report.write(render_report(rows, args.format))
+        for line in problems:
+            print(line, file=sys.stderr)
+        return 1 if problems else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

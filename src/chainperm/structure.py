@@ -49,7 +49,7 @@ def classify_strong_312_ending_in_1(pi: Permutation) -> int | None:
     if values == tuple(range(n, 0, -1)):
         return n
     k = values[0] - 1
-    if k < _ceil_half(n) or k > n:
+    if k < _ceil_half(n):
         return None
     if values == build_unimodal(n, k).values:
         return k

@@ -96,6 +96,16 @@ def test_verify_multiple_tags(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert {r[4] for r in rows} == {"T32", "T34"}
+    # A repeated tag is checked once.
+    code, out, err = run_cli(capsys, "verify", "--tags", "T41,T41", "--n-max", "2")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        ("1", "231,1432:231", "T41"),
+        ("1", "312,3214:312", "T41"),
+        ("2", "231,1432:231", "T41"),
+        ("2", "312,3214:312", "T41"),
+    ]
 
 
 def test_verify_no_rows_notice(capsys):
@@ -130,15 +140,19 @@ def test_rejects_bad_sizes_and_jobs(capsys):
 
 
 def test_out_writes_identical_report(capsys, tmp_path):
-    target = tmp_path / "report.csv"
-    code, out, _ = run_cli(
-        capsys, "count", "--chain", "312:312", "--n-max", "5", "--out", str(target)
+    # A passing run, and a failing one whose problem line still goes to stderr.
+    runs = (
+        (("count", "--chain", "312:312", "--n-max", "5"), 0, ""),
+        (("verify", "--tags", "T31", "--n-max", "6"), 1,
+         "disagreement: tag=T31 n=5 side=231 brute_force=6 formula=7\n"),
     )
-    assert code == 0
-    assert out == ""
-    code, stdout_report, _ = run_cli(capsys, "count", "--chain", "312:312", "--n-max", "5")
-    assert code == 0
-    assert target.read_text() == stdout_report
+    for argv, exit_code, stderr in runs:
+        target = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (exit_code, "", stderr), argv
+        code, stdout_report, err = run_cli(capsys, *argv)
+        assert (code, err) == (exit_code, stderr), argv
+        assert target.read_text() == stdout_report, argv
 
 
 def test_reports_are_deterministic_across_jobs(capsys):
@@ -170,9 +184,16 @@ def test_symmetry_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("chainperm.cli.count_chain", fake_count)
     code, out, err = run_cli(capsys, "symmetry", "--n-max", "2")
     assert code == 1
-    assert "mirror count mismatch: tag=T31 n=1" in err
+    assert err == "mirror count mismatch: tag=T31 n=1 chain_231 count=0 chain_312 count=1\n"
     rows = parse_csv(out)
+    assert len(rows) == 18
     assert all(r[5] == "false" for r in rows)
+    code, out, err = run_cli(capsys, "symmetry", "--n-max", "2", "--format", "json")
+    assert code == 1
+    assert err.startswith("mirror count mismatch: tag=T31 n=1")
+    rows = json.loads(out)
+    assert len(rows) == 18
+    assert all(row["agree"] is False for row in rows)
 
 
 def test_structure_report(capsys):
@@ -328,15 +349,34 @@ def test_importing_the_cli_compiles_no_matcher():
     assert result.stdout == "0\n"
 
 
-def test_tracer_names_exist_in_cli():
-    # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
+def load_tracing():
     path = PYPROJECT.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_names_exist_in_cli():
+    # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
+    tracing = load_tracing()
     names = [*tracing.SPANNED, *tracing.COUNTED]
     assert names
     assert [name for name in names if not hasattr(chainperm.cli, name)] == []
+
+
+def test_tracer_sees_every_traced_name_called():
+    # A refactor may keep the names but stop calling them through chainperm.cli.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    for argv in (["verify", "--tags", "T41", "--n-max", "4"], ["structure", "--n-max", "4"]):
+        _, _, code, _ = tracing.run_in_process(chainperm.cli, argv, tracer)
+        assert code == 0, argv
+    called = {s.name for s in tracer.spans} | {
+        name for name, (calls, _) in tracer.counted.items() if calls
+    }
+    expected = {*tracing.SPANNED.values(), *tracing.COUNTED.values()}
+    assert expected <= called
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
