@@ -13,9 +13,7 @@ from .enumeration import (
     MAX_ENUMERATION_N,
     CountRefinement,
     count_chain,
-    count_sequence,
     generate_sn,
-    list_chain_avoiders,
 )
 from .formulas import (
     FormulaId,
@@ -54,7 +52,6 @@ __all__ = [
     "classify_strong_312_ending_in_1",
     "contains",
     "count_chain",
-    "count_sequence",
     "count_strong_312_ending_in_1",
     "evaluate",
     "fibonacci",
@@ -63,7 +60,6 @@ __all__ = [
     "formula_table",
     "generate_sn",
     "identity",
-    "list_chain_avoiders",
     "lucas",
     "parse_chain",
     "parse_pattern",

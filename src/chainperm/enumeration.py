@@ -10,12 +10,66 @@ occurrence passes through the inserted maximum, the only kind it can
 add.  For a pattern of length 3 one O(n) pass over the node gives the
 slots where that holds, its active sites (see patterns.Length3Rule);
 the compiled pinned search of patterns._matcher runs only for longer
-patterns, and only on those slots.  Deeper levels are not closed under
-deleting the maximum, so they are checked on every node the walk
-reaches.  The nodes at depth m are exactly the level-1 avoiders of size
-m, so one walk to n counts every size up to n; count_chain keeps those
-counts per chain for the life of the process, and walk_chain_avoiders
-streams the words of every size.
+patterns, and only on those slots.  One walk to n counts every size up
+to n; count_chain keeps those counts per chain for the life of the
+process, and walk_chain_avoiders streams the words of every size.
+
+Deeper levels are in general not closed under deleting the maximum, so
+for most chains they are checked on every node the walk reaches, and
+the nodes at depth m are the level-1 avoiders of size m.  The chains of
+the paper are the exception.  A chain whose tree prunes at level 2 has
+exactly two levels, and either its second level is exactly 312 and its
+first contains 312, or the same with 231.  Every such avoider is a
+strong 312 (or 231) avoider: it and its square avoid the pattern.
+Deleting the maximum of a strong 312 avoider leaves a strong 312
+avoider, and deleting the minimum of a strong 231 avoider leaves a
+strong 231 avoider.  So the tree of the 312 side inserts the maximum,
+the tree of the 231 side inserts the minimum (the other values shift up
+by one), each child is checked at level 2 before it is pushed, and the
+nodes at depth m are exactly the chain avoiders of size m.
+
+Proof that a strong 312 avoider pi of size n stays strong when n is
+deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
+
+1. In Av(312) every entry before the 1 lies below every entry after it,
+   or c, 1, b would be a 312.  So pi = rho_1 + ... + rho_r, a direct sum
+   of blocks that each end in their own minimum.  The square of a direct
+   sum is the direct sum of the squares, and 312 is sum-indecomposable,
+   so pi is strong exactly when each block is strong; n lies in the
+   last block.
+2. Let rho be a strong block of size s >= 2 that ends in 1, and let
+   a = rho(1).  Then rho = U(s, a - 1) = a (a+1) ... s (a-1) ... 1 with
+   a - 1 >= s/2:
+   - The values below a appear in decreasing order in rho, or a would
+     start a 312.
+   - rho^2 ends in rho(1) = a, so rho^2 puts all its values below a
+     first (a larger one before a smaller one would start a 312 that a
+     ends).  So rho maps the positions 1..a-1 onto the set D of
+     positions that hold values below a.
+   - s is in D, so the value s sits before position a.  a is in D, so
+     position a holds a value below a.  Everything after s decreases,
+     or s would start a 312.  So rho(a..s) = s-a+1, ..., 1.
+   - rho^2(a..s-1) > a, since position s of rho^2 holds a and the
+     positions before a hold the smaller values.  Those positions map
+     under rho to 2..s-a+1, which forces rho(2..s-a+1) to be exactly
+     the values above a.
+   - rho^2(1) = rho(a) = s+1-a is larger than each
+     rho^2(y) = s+1-rho(y) for y in 2..s-a+1.  Those must therefore
+     decrease, so rho(2..s-a+1) increases.
+   The values below a fill the rest in decreasing order, and since s
+   sits at position s-a+1 < a, a - 1 >= s/2.
+3. The square of U(s, k) with k >= s/2 is delta + id + delta, where
+   delta is decreasing, and that avoids 312.  U(s, k) minus s is
+   U(s-1, min(k, s-1)), which is still admissible.  So the last block
+   of pi minus n is strong, and by step 1 so is pi minus n.
+
+Reverse complement commutes with powers, maps 312 to 231 and turns
+deleting the maximum into deleting the minimum, which gives the 231
+side.  A chain of the paper avoids its level-1 patterns, which any
+deletion keeps, and is strong, which the deletion of the extreme keeps.
+The proof covers squares only: nothing is claimed for cubes and higher
+powers, so three-level chains such as 312:312:312 stay on the level-1
+tree, with every deeper level checked on every node.
 
 Large trees are counted in a process pool.  The parent counts the sizes
 up to the middle depth n // 2 while it grows the nodes there, and each
@@ -29,10 +83,11 @@ import itertools
 import os
 import signal
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .chains import ChainSpec, LevelValues, PreparedLevels, _avoids_prepared, _prepared_chain
-from .patterns import _matcher
+from .patterns import Matcher, _complement, _length3_rule, _matcher
 from .perm import Permutation
 
 MAX_ENUMERATION_N = 14
@@ -87,15 +142,39 @@ class CountRefinement:
             raise ValueError("refinement entries must add up to the total")
 
 
+def _pruned_square(prepared: PreparedLevels) -> tuple[int, ...] | None:
+    """312 or 231 when the chain's tree prunes at level 2 (see the module
+    docstring): the chain has exactly two levels, the second is that
+    pattern alone and the first contains it.  None for every other chain."""
+    if len(prepared) != 2 or len(prepared[1]) != 1:
+        return None
+    square = prepared[1][0][0]
+    if square in ((3, 1, 2), (2, 3, 1)) and any(p == square for p, _, _ in prepared[0]):
+        return square
+    return None
+
+
 def _grow(
     nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedLevels
 ) -> Iterator[tuple[int, ...]]:
-    """The level-1 avoiders of every size from lo to n in and below the
-    given tree nodes, which must themselves avoid level 1 and have size at
-    most n; each word comes before the words grown from it.  A child is
-    built only at the slots that every length-3 rule leaves free."""
-    rules = [rule.free_slots for _, rule, _ in prepared[0] if rule is not None]
-    pinned = [_matcher(pattern, pinned=True) for pattern, rule, _ in prepared[0] if rule is None]
+    """The tree nodes of every size from lo to n in and below the given
+    nodes, which must themselves be tree nodes of size at most n; each
+    word comes before the words grown from it.  A child is built only at
+    the slots that every length-3 rule leaves free.
+
+    The nodes are the level-1 avoiders, grown by inserting the maximum,
+    unless the tree prunes at level 2.  Then they are the chain avoiders,
+    and the 231 side inserts the minimum: its level-1 patterns are decided
+    on the complement of the word, where the minimum is the maximum."""
+    square = _pruned_square(prepared)
+    minimum = square == (2, 3, 1)
+    level1 = [tuple(_complement(p)) if minimum else p for p, _, _ in prepared[0]]
+    rules = [rule.free_slots for rule in map(_length3_rule, level1) if rule is not None]
+    rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
+    if minimum:
+        rejects = [partial(_through_minimum, match) for match in rejects]
+    if square is not None:
+        rejects.append(partial(_square_contains, prepared))
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -104,26 +183,44 @@ def _grow(
             yield word
         if size > n:
             continue
+        if minimum:
+            seen = tuple(map(size.__sub__, word))
+            word, new = tuple(map((1).__add__, word)), (1,)
+        else:
+            seen, new = word, (size,)
         free = range(size)
         for free_slots in rules:
-            free = [i for i in free_slots(word) if i in free]
+            free = [i for i in free_slots(seen) if i in free]
         for i in free:
-            child = word[:i] + (size,) + word[i:]
-            for match in pinned:
-                if match(child, i):
+            child = word[:i] + new + word[i:]
+            for reject in rejects:
+                if reject(child, i):
                     break
             else:
                 stack.append(child)
 
 
+def _through_minimum(match: Matcher, word: tuple[int, ...], i: int) -> bool:
+    """A pinned search of a complemented pattern, run on the complement of
+    the word, where the minimum inserted at index i is the maximum."""
+    return match(tuple(_complement(word)), i) is not None
+
+
+def _square_contains(prepared: PreparedLevels, word: tuple[int, ...], i: int) -> bool:
+    """True when the square of the word contains level 2 of the chain.  It
+    takes the slot i of the inserted entry, as the pinned searches do, and
+    does not need it."""
+    return not _avoids_prepared(word, prepared, 1)
+
+
 def _avoiders(
-    lo: int, n: int, prepared: PreparedLevels, nodes: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """The chain avoiders of every size from lo to n in and below the given
-    level-1 tree nodes, in the order of _grow."""
-    for word in _grow(nodes, lo, n, prepared):
-        if _avoids_prepared(word, prepared, 1):
-            yield word
+    words: Iterable[tuple[int, ...]], prepared: PreparedLevels
+) -> Iterable[tuple[int, ...]]:
+    """The chain avoiders among the given nodes of the chain's tree, in
+    their order: all of them when the tree prunes at level 2."""
+    if _pruned_square(prepared) is not None:
+        return words
+    return (word for word in words if _avoids_prepared(word, prepared, 1))
 
 
 def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
@@ -139,10 +236,11 @@ def _count_below(
     lo: int, n: int, level_values: LevelValues, nodes: Iterable[tuple[int, ...]]
 ) -> list[list[int]]:
     """One shard: the split of the chain avoiders of each size from lo to n
-    below the given level-1 tree nodes.  A shard names its chain by its
+    below the given tree nodes.  A shard names its chain by its
     patterns, since the compiled searches of its prepared form do not
     pickle; a forked worker finds that form in the cache it inherits."""
-    return _split(lo, n, _avoiders(lo, n, _prepared_chain(level_values), nodes))
+    prepared = _prepared_chain(level_values)
+    return _split(lo, n, _avoiders(_grow(nodes, lo, n, prepared), prepared))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -155,8 +253,9 @@ def _count_below(
 # against 71 ms; S_8 (a level-1 pattern longer than 8 prunes nothing) has 24
 # and takes 32 ms against 28 to 31 ms.  The middle depth cannot tell n = 10
 # from n = 11, and the bound still sits between 14 and 24.  Every table chain
-# keeps 312 or 231 at level 1, so it has at most Catalan(4) = 14 middle nodes
-# for n <= 9 and counts there never open a pool.
+# keeps 312 or 231 at level 1, and a pruned tree holds only some of the
+# level-1 avoiders, so pruned or not its tree has at most Catalan(4) = 14
+# middle nodes for n <= 9 and counts there never open a pool.
 MIN_POOL_FRONTIER = 20
 
 
@@ -172,14 +271,14 @@ def _pool_size(jobs: int, shards: int) -> int:
 
 def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
-    of the level-1 tree.  The parent counts the sizes up to the middle
+    of the chain's tree.  The parent counts the sizes up to the middle
     depth n // 2 while it grows the nodes there; below each of those
     nodes, a shard counts the deeper sizes."""
     half = n // 2
     prepared = _prepared_chain(level_values)
     top = list(_grow([()], 1, half, prepared))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, (w for w in top if _avoids_prepared(w, prepared, 1)))
+    splits = _split(1, half, _avoiders(top, prepared))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
         shards = [_count_below(half + 1, n, level_values, frontier)]
@@ -210,7 +309,7 @@ _COUNTS: dict[ChainSpec, tuple[CountRefinement, ...]] = {}
 def count_chain(
     n: int, chain: ChainSpec, *, jobs: int = 1, force: bool = False
 ) -> CountRefinement:
-    """Count the chain avoiders in S_n by walking the level-1 generating tree.
+    """Count the chain avoiders in S_n by walking the chain's generating tree.
 
     One walk to n counts every size from 1 to n, and those counts are kept
     per chain for the life of the process: a later call for a size up to
@@ -232,14 +331,6 @@ def count_chain(
     return counts[n - 1]
 
 
-def count_sequence(
-    chain: ChainSpec, n_max: int, *, jobs: int = 1, force: bool = False
-) -> list[int]:
-    """Totals of count_chain for n = 1, ..., n_max, from one walk."""
-    count_chain(n_max, chain, jobs=jobs, force=force)
-    return [ref.total for ref in _COUNTS.get(chain, ())[:n_max]]
-
-
 def walk_chain_avoiders(
     n: int, chain: ChainSpec, *, force: bool = False
 ) -> Iterator[tuple[int, ...]]:
@@ -252,22 +343,6 @@ def walk_chain_avoiders(
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    return _avoiders(0, n, _prepared_chain(chain.level_values()), [()])
-
-
-def list_chain_avoiders(
-    n: int, chain: ChainSpec, *, force: bool = False
-) -> Iterator[Permutation]:
-    """Stream the chain avoiders of S_n in lexicographic order.
-
-    The tree does not reach the words in that order, so all avoiders are
-    found and sorted before the first is yielded.
-    """
-    _check_size(n, force)
     prepared = _prepared_chain(chain.level_values())
+    return _avoiders(_grow([()], 0, n, prepared), prepared)
 
-    def gen() -> Iterator[Permutation]:
-        for word in sorted(_avoiders(n, n, prepared, [()])):
-            yield Permutation(word)
-
-    return gen()

@@ -216,11 +216,23 @@ def test_structure_json(capsys):
 
 
 def test_structure_counterexample_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("chainperm.cli.strongly_avoids", lambda pi, tau: False)
-    code, out, err = run_cli(capsys, "structure", "--n-max", "2")
+    # The classifier rejects both strong words at n = 4 and one at n = 5.
+    classify = chainperm.cli.classify_strong_312_ending_in_1
+    rejected = {"3421", "4321", "54321"}
+    monkeypatch.setattr(
+        "chainperm.cli.classify_strong_312_ending_in_1",
+        lambda pi: None if pi.text() in rejected else classify(pi),
+    )
+    code, out, err = run_cli(capsys, "structure", "--n-max", "5")
     assert code == 1
-    assert "counterexample at n=1" in err
-    assert "both avoid 312" in err
+    # The witness is the lexicographically first of the smallest size.
+    assert err.splitlines() == [
+        "form count mismatch at n=4: 0 words classified, 2 unimodal forms",
+        "form count mismatch at n=5: 1 words classified, 2 unimodal forms",
+        "counterexample at n=4: 3421 and its square 2143 both avoid 312",
+    ]
+    rows = parse_csv(out)
+    assert [r[2:4] + [r[5]] for r in rows[3:]] == [["2", "0", "false"], ["2", "1", "false"]]
 
 
 def test_structure_form_count_mismatch_exits_1(capsys, monkeypatch):
@@ -256,22 +268,22 @@ def test_structure_report_matches_scan_oracle(capsys):
 
 
 def test_structure_same_size_mismatch_exits_1(capsys, monkeypatch):
-    # Strong and classified words at n = 4 have the same count but differ.
-    classify = chainperm.cli.classify_strong_312_ending_in_1
-    patched = {"4321": None, "2341": 3}
+    # The classified words and the forms at n = 4 have the same count but
+    # differ: 2341 avoids 312, but its square 3412 does not.
+    forms = chainperm.cli.unimodal_forms
+    swap = {"3421": parse_permutation("2341")}
     monkeypatch.setattr(
-        "chainperm.cli.classify_strong_312_ending_in_1",
-        lambda pi: patched.get(pi.text(), classify(pi)),
+        "chainperm.cli.unimodal_forms",
+        lambda n: [swap.get(f.text(), f) if n == 4 else f for f in forms(n)],
     )
     code, out, err = run_cli(capsys, "structure", "--n-max", "4")
     assert code == 1
-    # Of the two mismatching words, 2341 and 4321, the report names the
-    # lexicographically first.
     assert err.splitlines() == [
         "form count mismatch at n=4: 2 words classified, 2 unimodal forms",
-        "counterexample at n=4: the square of 2341 is 3412, which contains 312 at positions (1, 3, 4)",
     ]
-    assert len(parse_csv(out)) == 4
+    rows = parse_csv(out)
+    assert len(rows) == 4
+    assert all(r[5] == "true" for r in rows)
 
 
 def test_structure_form_containing_312_exits_1(capsys, monkeypatch):
@@ -375,8 +387,11 @@ def test_tracer_sees_every_traced_name_called():
     called = {s.name for s in tracer.spans} | {
         name for name, (calls, _) in tracer.counted.items() if calls
     }
+    # structure takes the strong 312 avoiders from the pruned tree of
+    # 312:312, so no command calls strongly_avoids any more.
     expected = {*tracing.SPANNED.values(), *tracing.COUNTED.values()}
-    assert expected <= called
+    assert expected - {"chains.strongly_avoids"} <= called
+    assert tracer.counted["chains.strongly_avoids"][0] == 0
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -14,13 +14,12 @@ from chainperm import (
     avoids,
     chain_avoids,
     count_chain,
-    count_sequence,
     formula_table,
     generate_sn,
     identity,
-    list_chain_avoiders,
     parse_chain,
 )
+from chainperm.chains import _avoids_prepared, _prepared_chain
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
 from helpers import scan_count_chain
@@ -31,6 +30,25 @@ TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
 def brute_avoiders(words, chain):
     """The words of one size that satisfy the chain, in the given order."""
     return [p.values for p in words if chain_avoids(p, chain)]
+
+
+def level1_walk(chain, n):
+    """The chain avoiders of sizes 0 to n found on the level-1 tree, with
+    every deeper level checked on every node: the tree a chain that does
+    not prune at level 2 walks."""
+    prepared = _prepared_chain(chain.level_values())
+    level1 = ChainSpec(chain.levels[:1])
+    return [w for w in walk_chain_avoiders(n, level1) if _avoids_prepared(w, prepared, 1)]
+
+
+def splits_by_size(words, n):
+    """For each size 1 to n, the total and the split by the position of 1."""
+    by_size = [[w for w in words if len(w) == m] for m in range(1, n + 1)]
+    return [(len(ws), split_by_position_of_one(ws, m)) for m, ws in enumerate(by_size, 1)]
+
+
+def totals(chain, n_max):
+    return [count_chain(n, chain).total for n in range(1, n_max + 1)]
 
 
 def split_by_position_of_one(avoiders, n):
@@ -66,14 +84,14 @@ def test_generate_sn_size_bound():
 
 def test_count_base_cases():
     assert count_chain(3, parse_chain("312,123:312")).total == 3
-    assert count_sequence(parse_chain("312,321:312"), 3) == [1, 2, 3]
-    assert count_sequence(parse_chain("312,231:312"), 4) == [1, 2, 4, 8]
+    assert totals(parse_chain("312,321:312"), 3) == [1, 2, 3]
+    assert totals(parse_chain("312,231:312"), 4) == [1, 2, 4, 8]
     assert count_chain(2, parse_chain("312,2314:312")).total == 2
     assert count_chain(3, parse_chain("312,2314:312")).total == 4
 
 
 def test_count_single_pattern_catalan():
-    assert count_sequence(parse_chain("312"), 5) == [1, 2, 5, 14, 42]
+    assert totals(parse_chain("312"), 5) == [1, 2, 5, 14, 42]
 
 
 def test_refinement_example():
@@ -121,9 +139,44 @@ def test_tree_matches_brute_force_for_table_chains():
             ref = count_chain(n, chain)
             assert ref.total == len(avoiders), (chain, n)
             assert ref.by_position_of_one == split_by_position_of_one(avoiders, n), (chain, n)
-            listed = [p.values for p in list_chain_avoiders(n, chain)]
-            assert listed == avoiders, (chain, n)
             assert [w for w in walked[chain] if len(w) == n] == avoiders, (chain, n)
+
+
+def test_table_chains_prune_and_match_the_level1_walk():
+    for chain in TABLE_CHAINS:
+        square = chain.levels[1][0].values
+        assert enumeration._pruned_square(_prepared_chain(chain.level_values())) == square
+        count_chain(12, chain)
+        got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
+        assert got == splits_by_size(level1_walk(chain, 12), 12), chain
+
+
+def test_only_two_level_strong_chains_prune():
+    def square(text):
+        return enumeration._pruned_square(_prepared_chain(parse_chain(text).level_values()))
+
+    assert square("312:312") == (3, 1, 2)
+    assert square("2143,312:312") == (3, 1, 2)
+    assert square("312,231:231") == (2, 3, 1)
+    for text in (
+        "312:312:312", "231:231:231", "312", "312:123", "312:231", "231:312",
+        "123:312", "312:312,123", "3124:312", "13245:2143:312",
+    ):
+        assert square(text) is None, text
+
+
+def test_strong_avoiders_are_closed_under_deleting_the_extreme():
+    # The claim the pruned trees rest on (see the enumeration docstring),
+    # checked on the level-1 tree: deleting the maximum of a 312:312 avoider,
+    # or the minimum of a 231:231 avoider, leaves an avoider.
+    for text, extreme in (("312:312", max), ("231:231", min)):
+        chain = parse_chain(text)
+        oracle = set(level1_walk(chain, 11))
+        assert len(oracle) == 1 + sum(totals(chain, 11))
+        for word in oracle - {()}:
+            e = extreme(word)
+            assert tuple(v - (v > e) for v in word if v != e) in oracle, (text, word)
+        assert set(walk_chain_avoiders(11, chain)) == oracle, text
 
 
 def _chain_of(levels):
@@ -154,11 +207,35 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
         len(avoiders),
         split_by_position_of_one(avoiders, n),
     )
-    assert [p.values for p in list_chain_avoiders(n, chain)] == avoiders
+    assert sorted(w for w in walk_chain_avoiders(n, chain) if len(w) == n) == avoiders
     # The one walk to n also counted every smaller size.
     for m in range(1, n):
         ref = count_chain(m, chain)
         assert (ref.total, ref.by_position_of_one) == scan_count_chain(m, levels), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(3, 1, 2), (2, 3, 1)]),
+    st.lists(_patterns, max_size=2),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=9),
+)
+@example((3, 1, 2), [], 0, 9)
+@example((2, 3, 1), [(1, 4, 3, 2)], 1, 9)
+@example((2, 3, 1), [(2, 1, 4, 3), (3, 1, 2)], 2, 8)
+@example((3, 1, 2), [(1, 2)], 0, 5)
+@example((2, 3, 1), [(1,)], 1, 3)
+def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where, n):
+    enumeration._COUNTS.clear()
+    chain = _chain_of([others[:where] + [square] + others[where:], [square]])
+    assert enumeration._pruned_square(_prepared_chain(chain.level_values())) == square
+    oracle = level1_walk(chain, n)
+    walked = list(walk_chain_avoiders(n, chain))
+    assert sorted(walked) == sorted(oracle)
+    count_chain(n, chain)
+    got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
+    assert got == splits_by_size(oracle, n)
 
 
 def test_counts_are_kept_per_chain(root_walks):
@@ -169,7 +246,7 @@ def test_counts_are_kept_per_chain(root_walks):
     assert count_chain(8, chain).total == 71
     assert len(root_walks) == 2
     assert count_chain(6, chain) == at_6
-    assert count_sequence(chain, 8) == [1, 2, 4, 8, 14, 25, 42, 71]
+    assert totals(chain, 8) == [1, 2, 4, 8, 14, 25, 42, 71]
     assert len(root_walks) == 2
 
 
@@ -185,8 +262,6 @@ def test_count_size_bound():
         count_chain(MAX_ENUMERATION_N + 1, chain)
     with pytest.raises(ValueError):
         count_chain(-1, chain)
-    with pytest.raises(ValueError, match="force"):
-        count_sequence(chain, MAX_ENUMERATION_N + 1)
 
 
 def spy_on_pools(monkeypatch):
@@ -205,7 +280,7 @@ def spy_on_pools(monkeypatch):
 def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
     opened = spy_on_pools(monkeypatch)
-    for text, n_max in (("312,3214:312", 9), ("13245:2143:312", 7)):
+    for text, n_max in (("312,3214:312", 9), ("231,1432:231", 9), ("13245:2143:312", 7)):
         chain = parse_chain(text)
         count_chain(n_max, chain, jobs=1)
         serial = [count_chain(n, chain) for n in range(1, n_max + 1)]
@@ -218,7 +293,7 @@ def test_parallel_matches_serial(monkeypatch):
     cpus = enumeration._pool_size(10**6, 10**6)
     assert all(2 <= workers <= cpus for workers in opened)
     if cpus > 1:
-        assert len(opened) == 6
+        assert len(opened) == 9
 
 
 def test_pool_size_is_capped(monkeypatch):
@@ -246,24 +321,27 @@ def test_workers_never_exceed_shards():
     assert ref.by_position_of_one == (1, 0)
 
 
-def test_list_chain_avoiders_example():
-    words = [p.text() for p in list_chain_avoiders(3, parse_chain("312:312"))]
-    assert words == ["123", "132", "213", "321"]
-    ending_in_1 = [w for w in words if w.endswith("1")]
-    assert ending_in_1 == ["321"]
+def test_walk_chain_avoiders_example():
+    words = sorted(w for w in walk_chain_avoiders(3, parse_chain("312:312")) if len(w) == 3)
+    assert words == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    ending_in_1 = [w for w in words if w[-1] == 1]
+    assert ending_in_1 == [(3, 2, 1)]
 
 
-def test_list_chain_avoiders_is_sorted_and_consistent():
-    chain = parse_chain("312,123:312")
-    for n in range(1, 7):
-        listed = [p.values for p in list_chain_avoiders(n, chain)]
-        assert listed == sorted(listed)
-        assert len(listed) == count_chain(n, chain).total
+def test_walked_avoiders_agree_with_counts():
+    for text in ("312,123:312", "231,1432:231", "312:312:312"):
+        chain = parse_chain(text)
+        walked = list(walk_chain_avoiders(7, chain))
+        assert len(set(walked)) == len(walked), text
+        for n in range(1, 8):
+            assert sum(len(w) == n for w in walked) == count_chain(n, chain).total, (text, n)
 
 
-def test_list_chain_avoiders_size_bound():
+def test_walk_chain_avoiders_size_bound():
     with pytest.raises(ValueError, match="force"):
-        list_chain_avoiders(MAX_ENUMERATION_N + 1, parse_chain("312:312"))
+        walk_chain_avoiders(MAX_ENUMERATION_N + 1, parse_chain("312:312"))
+    with pytest.raises(ValueError):
+        walk_chain_avoiders(-1, parse_chain("312:312"))
 
 
 def test_count_refinement_validation():
