@@ -14,6 +14,7 @@ permutation would collide with the pattern separator.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .patterns import Pattern, ParseError, Prepared, _prepare, parse_pattern
 from .perm import Permutation
@@ -91,28 +92,63 @@ def parse_chain(text: str) -> ChainSpec:
 
 PreparedLevels = tuple[tuple[Prepared, ...], ...]
 
+# One pattern of the chain with the depth of the power it constrains: 0 for
+# the word itself (level 1), 1 for its square, and so on.
+Check = tuple[int, Prepared]
+
+
+class PreparedChain(NamedTuple):
+    """A chain resolved to its tests, once per chain (see _prepared_chain).
+
+    levels holds the prepared patterns of each level in chain order, for
+    the tree walk.  checks holds every pattern in the order the chain
+    predicate runs them, cheapest first; deeper holds those of levels 2
+    on, in the same order, for words whose level 1 is already settled.
+    """
+
+    levels: PreparedLevels
+    checks: tuple[Check, ...]
+    deeper: tuple[Check, ...]
+
+
+def _cost(check: Check) -> tuple[bool, int, int]:
+    """The order of the checks: every Length3Rule first, then the compiled
+    searches by pattern length; the lower depth first among equals."""
+    depth, (pattern, rule, _) = check
+    return rule is None, len(pattern), depth
+
 
 @lru_cache(maxsize=None)
-def _prepared_chain(level_values: LevelValues) -> PreparedLevels:
-    """Resolve each pattern of a chain to its prepared form, once per chain.
-    The patterns of strongly_avoids may come from any Permutation, so
-    _matcher rejects the empty pattern here."""
-    return tuple(tuple(map(_prepare, level)) for level in level_values)
+def _prepared_chain(level_values: LevelValues) -> PreparedChain:
+    """Resolve each pattern of a chain to its prepared form and order the
+    checks, once per chain.  The patterns of strongly_avoids may come from
+    any Permutation, so _matcher rejects the empty pattern here."""
+    levels = tuple(tuple(map(_prepare, level)) for level in level_values)
+    checks = tuple(
+        sorted(((depth, p) for depth, level in enumerate(levels) for p in level), key=_cost)
+    )
+    return PreparedChain(levels, checks, tuple(c for c in checks if c[0]))
 
 
-def _avoids_prepared(values: tuple[int, ...], prepared: PreparedLevels, first: int = 0) -> bool:
-    """Chain predicate on a raw word, checking the levels from index first
-    on (the caller has settled the ones before); powers are built
-    incrementally."""
-    cur = values
-    for depth, level in enumerate(prepared):
-        if depth:
-            cur = tuple([values[v - 1] for v in cur])
-        if depth < first:
-            continue
-        for _, rule, match in level:
-            if match(cur) if rule is None else rule.kernel(rule.view(cur)):
-                return False
+def _avoids_prepared(values: tuple[int, ...], checks: tuple[Check, ...]) -> bool:
+    """Chain predicate on a raw word: False at the first check whose power
+    of the word contains its pattern.
+
+    Any check that fails rejects the word, so the order changes only the
+    cost.  The checks run cheapest first: a Length3Rule is one O(n) pass,
+    at whatever depth it sits, while the compiled search of a pattern of
+    length k nests k loops over the word.  So a rule that rejects the word
+    spares every search, and a short search spares the longer ones.  Each
+    power is built, from the one below it, only when a check first needs
+    it, which costs one O(n) pass like a rule.
+    """
+    powers = [values]
+    for depth, (_, rule, match) in checks:
+        while len(powers) <= depth:
+            powers.append(tuple([values[v - 1] for v in powers[-1]]))
+        word = powers[depth]
+        if match(word) if rule is None else rule.kernel(rule.view(word)):
+            return False
     return True
 
 
@@ -123,7 +159,7 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    return _avoids_prepared(pi.values, _prepared_chain(chain.level_values()))
+    return _avoids_prepared(pi.values, _prepared_chain(chain.level_values()).checks)
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
@@ -131,4 +167,4 @@ def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    return _avoids_prepared(pi.values, _prepared_chain(((tau.values,), (tau.values,))))
+    return _avoids_prepared(pi.values, _prepared_chain(((tau.values,), (tau.values,))).checks)

@@ -16,8 +16,14 @@ process, and walk_chain_avoiders streams the words of every size.
 
 Deeper levels are in general not closed under deleting the maximum, so
 for most chains they are checked on every node the walk reaches, and
-the nodes at depth m are the level-1 avoiders of size m.  The chains of
-the paper are the exception.  A chain whose tree prunes at level 2 has
+the nodes at depth m are the level-1 avoiders of size m.  Those checks
+run in order of cost, not of level (see chains._avoids_prepared): first
+the length-3 rules, each one O(n) pass at whatever level it sits, then
+the compiled searches, shortest pattern first.  For a chain such as
+13245:2143:312 the rule on the cube rejects most nodes, and the search
+for 2143 in the square runs only on the rest.  A power is built only
+when a check first needs it.  The chains of the paper are the
+exception.  A chain whose tree prunes at level 2 has
 exactly two levels, and either its second level is exactly 312 and its
 first contains 312, or the same with 231.  Every such avoider is a
 strong 312 (or 231) avoider: it and its square avoid the pattern.
@@ -86,7 +92,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, LevelValues, PreparedLevels, _avoids_prepared, _prepared_chain
+from .chains import ChainSpec, Check, LevelValues, PreparedChain, _avoids_prepared, _prepared_chain
 from .patterns import Matcher, _complement, _length3_rule, _matcher
 from .perm import Permutation
 
@@ -142,20 +148,21 @@ class CountRefinement:
             raise ValueError("refinement entries must add up to the total")
 
 
-def _pruned_square(prepared: PreparedLevels) -> tuple[int, ...] | None:
+def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
     """312 or 231 when the chain's tree prunes at level 2 (see the module
     docstring): the chain has exactly two levels, the second is that
     pattern alone and the first contains it.  None for every other chain."""
-    if len(prepared) != 2 or len(prepared[1]) != 1:
+    levels = prepared.levels
+    if len(levels) != 2 or len(levels[1]) != 1:
         return None
-    square = prepared[1][0][0]
-    if square in ((3, 1, 2), (2, 3, 1)) and any(p == square for p, _, _ in prepared[0]):
+    square = levels[1][0][0]
+    if square in ((3, 1, 2), (2, 3, 1)) and any(p == square for p, _, _ in levels[0]):
         return square
     return None
 
 
 def _grow(
-    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedLevels
+    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedChain
 ) -> Iterator[tuple[int, ...]]:
     """The tree nodes of every size from lo to n in and below the given
     nodes, which must themselves be tree nodes of size at most n; each
@@ -168,13 +175,13 @@ def _grow(
     on the complement of the word, where the minimum is the maximum."""
     square = _pruned_square(prepared)
     minimum = square == (2, 3, 1)
-    level1 = [tuple(_complement(p)) if minimum else p for p, _, _ in prepared[0]]
+    level1 = [tuple(_complement(p)) if minimum else p for p, _, _ in prepared.levels[0]]
     rules = [rule.free_slots for rule in map(_length3_rule, level1) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
     if minimum:
         rejects = [partial(_through_minimum, match) for match in rejects]
     if square is not None:
-        rejects.append(partial(_square_contains, prepared))
+        rejects.append(partial(_square_contains, prepared.deeper))
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -206,21 +213,23 @@ def _through_minimum(match: Matcher, word: tuple[int, ...], i: int) -> bool:
     return match(tuple(_complement(word)), i) is not None
 
 
-def _square_contains(prepared: PreparedLevels, word: tuple[int, ...], i: int) -> bool:
-    """True when the square of the word contains level 2 of the chain.  It
-    takes the slot i of the inserted entry, as the pinned searches do, and
-    does not need it."""
-    return not _avoids_prepared(word, prepared, 1)
+def _square_contains(deeper: tuple[Check, ...], word: tuple[int, ...], i: int) -> bool:
+    """True when the square of the word contains level 2 of the chain, the
+    one level the deeper checks of a pruned chain hold.  It takes the slot
+    i of the inserted entry, as the pinned searches do, and does not need
+    it."""
+    return not _avoids_prepared(word, deeper)
 
 
 def _avoiders(
-    words: Iterable[tuple[int, ...]], prepared: PreparedLevels
+    words: Iterable[tuple[int, ...]], prepared: PreparedChain
 ) -> Iterable[tuple[int, ...]]:
     """The chain avoiders among the given nodes of the chain's tree, in
     their order: all of them when the tree prunes at level 2."""
     if _pruned_square(prepared) is not None:
         return words
-    return (word for word in words if _avoids_prepared(word, prepared, 1))
+    deeper = prepared.deeper
+    return (word for word in words if _avoids_prepared(word, deeper))
 
 
 def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:

@@ -1,6 +1,7 @@
 """Chain parsing and the chain-avoidance predicate."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chainperm import (
     ChainSpec,
@@ -15,7 +16,9 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
+from chainperm.chains import _prepared_chain
 from helpers import PATTERNS_3, all_words, scan_chain_avoids
+from strategies import chain_levels
 
 
 def test_parse_and_text_round_trip():
@@ -101,18 +104,56 @@ def test_strongly_avoids_examples():
 
 def test_chain_agrees_with_scan_oracle():
     chains = (
-        parse_chain("312,123:312"),
-        parse_chain("312,2314:312"),
-        parse_chain("231,1432:231"),
-        parse_chain("21:21:21"),
+        "312,123:312",
+        "312,2314:312",
+        "231,1432:231",
+        "21:21:21",
+        # The checks run in another order than the levels: search, search,
+        # rule; a rule between two searches; a rule and a search on one level.
+        "13245:2143:312",
+        "23415:3241:312",
+        "1432:312:21",
+        "312,1432:2143,231:12",
     )
-    for chain in chains:
+    for text in chains:
+        chain = parse_chain(text)
         levels = chain.level_values()
-        for n in range(1, 6):
+        for n in range(0, 7):
             for word in all_words(n):
                 assert chain_avoids(Permutation(word), chain) == scan_chain_avoids(
                     word, levels
-                )
+                ), (text, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain_levels,
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+    ),
+)
+@example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], (1, 2, 3, 4, 8, 7, 5, 6))
+@example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], (5, 1, 2, 4, 3, 8, 7, 6))
+def test_chain_avoids_agrees_with_scan_oracle_on_random_chains(levels, word):
+    chain = ChainSpec(tuple(tuple(Pattern(p) for p in level) for level in levels))
+    assert chain_avoids(Permutation(word), chain) == scan_chain_avoids(word, levels)
+
+
+def test_checks_run_cheapest_first():
+    def order(text):
+        prepared = _prepared_chain(parse_chain(text).level_values())
+        assert prepared.deeper == tuple(c for c in prepared.checks if c[0])
+        return [(depth, "".join(map(str, p))) for depth, (p, _, _) in prepared.checks]
+
+    # Every length-3 rule, then the searches by length, then by depth.
+    assert order("13245:2143:312") == [(2, "312"), (1, "2143"), (0, "13245")]
+    assert order("1432:312:21") == [(1, "312"), (2, "21"), (0, "1432")]
+    assert order("312,1432:2143,231:12") == [
+        (0, "312"), (1, "231"), (2, "12"), (0, "1432"), (1, "2143")
+    ]
+    assert order("2143,1:321,12:1") == [
+        (1, "321"), (0, "1"), (2, "1"), (1, "12"), (0, "2143")
+    ]
 
 
 def test_chain_respects_reverse_complement():

@@ -23,6 +23,7 @@ from chainperm.chains import _avoids_prepared, _prepared_chain
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
 from helpers import scan_count_chain
+from strategies import chain_levels, pattern_words
 
 TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
 
@@ -36,9 +37,9 @@ def level1_walk(chain, n):
     """The chain avoiders of sizes 0 to n found on the level-1 tree, with
     every deeper level checked on every node: the tree a chain that does
     not prune at level 2 walks."""
-    prepared = _prepared_chain(chain.level_values())
+    deeper = _prepared_chain(chain.level_values()).deeper
     level1 = ChainSpec(chain.levels[:1])
-    return [w for w in walk_chain_avoiders(n, level1) if _avoids_prepared(w, prepared, 1)]
+    return [w for w in walk_chain_avoiders(n, level1) if _avoids_prepared(w, deeper)]
 
 
 def splits_by_size(words, n):
@@ -183,14 +184,8 @@ def _chain_of(levels):
     return ChainSpec(tuple(tuple(Pattern(p) for p in level) for level in levels))
 
 
-_patterns = st.integers(min_value=1, max_value=5).flatmap(
-    lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
-)
-_levels = st.lists(st.lists(_patterns, min_size=1, max_size=3), min_size=1, max_size=3)
-
-
 @settings(max_examples=60, deadline=None)
-@given(_levels, st.integers(min_value=1, max_value=7))
+@given(chain_levels, st.integers(min_value=1, max_value=7))
 @example([[(1,)]], 3)
 @example([[(1, 2)]], 4)
 @example([[(1, 2)], [(1,)]], 2)
@@ -217,7 +212,7 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([(3, 1, 2), (2, 3, 1)]),
-    st.lists(_patterns, max_size=2),
+    st.lists(pattern_words, max_size=2),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=1, max_value=9),
 )
