@@ -10,13 +10,18 @@ Text grammar: levels are separated by ":", patterns within a level by
 ",", whitespace is ignored.  Patterns inside chain text therefore use
 the digit form only (length at most 9); the comma form of a single long
 permutation would collide with the pattern separator.
+
+Each chain is decided by one predicate, written out as source and
+compiled on first use (see _compile_predicate): chain_avoids and
+strongly_avoids run it on all the levels, and the generating tree of
+enumeration.py on the levels from 2 on.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable
 
-from .patterns import Pattern, ParseError, Prepared, _prepare, parse_pattern
+from .patterns import _KERNELS, Pattern, ParseError, _matcher, parse_pattern
 from .perm import Permutation
 
 Level = tuple[Pattern, ...]
@@ -90,66 +95,108 @@ def parse_chain(text: str) -> ChainSpec:
     return ChainSpec(tuple(levels))
 
 
-PreparedLevels = tuple[tuple[Prepared, ...], ...]
-
 # One pattern of the chain with the depth of the power it constrains: 0 for
 # the word itself (level 1), 1 for its square, and so on.
-Check = tuple[int, Prepared]
+Check = tuple[int, tuple[int, ...]]
 
-
-class PreparedChain(NamedTuple):
-    """A chain resolved to its tests, once per chain (see _prepared_chain).
-
-    levels holds the prepared patterns of each level in chain order, for
-    the tree walk.  checks holds every pattern in the order the chain
-    predicate runs them, cheapest first; deeper holds those of levels 2
-    on, in the same order, for words whose level 1 is already settled.
-    """
-
-    levels: PreparedLevels
-    checks: tuple[Check, ...]
-    deeper: tuple[Check, ...]
+Predicate = Callable[[tuple[int, ...]], bool]
 
 
 def _cost(check: Check) -> tuple[bool, int, int]:
-    """The order of the checks: every Length3Rule first, then the compiled
-    searches by pattern length; the lower depth first among equals."""
-    depth, (pattern, rule, _) = check
-    return rule is None, len(pattern), depth
+    """The order of the checks: every pattern of length 3 first, then the
+    compiled searches by pattern length; the lower depth first among
+    equals."""
+    depth, pattern = check
+    return len(pattern) != 3, len(pattern), depth
+
+
+@lru_cache(maxsize=None)
+def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
+    """The chain predicate of the given checks, written out as one function.
+
+    The function returned takes a raw word and returns False at the first
+    check whose power of the word contains its pattern, else True.  Any
+    check that fails rejects the word, so their order, cheapest first (see
+    _cost), changes only the cost.  A pattern of length 3 becomes one for
+    loop over the word that reads the power in place, as x, p[x], p[p[x]]
+    and so on with p the word shifted to 1-based indexing, and runs its
+    kernel (patterns._KERNELS) on each entry: one O(n) pass that builds
+    nothing.  A longer pattern runs its compiled search (patterns._matcher)
+    on its power, built as a tuple at most once per word and depth.
+
+    The source holds only the fixed lines of the kernels, depths and check
+    numbers; each search reaches it through the namespace.  So every
+    pattern must be a permutation of 1..k with k >= 1, and every depth an
+    integer >= 0.  The source is compiled once per tuple of checks, the way
+    _matcher compiles its searches, so chains with the same checks share
+    one function.
+    """
+    for depth, pattern in checks:
+        k = len(pattern)
+        if not k:
+            raise ValueError("a pattern must have length >= 1")
+        if sorted(pattern) != list(range(1, k + 1)):
+            raise ValueError(f"a pattern must be a permutation of 1..{k}: {pattern!r}")
+        if not isinstance(depth, int) or depth < 0:
+            raise ValueError(f"a depth must be an integer >= 0: {depth!r}")
+    lines = ["def avoids(w):", "    n = len(w)"]
+    if any(depth for depth, _ in checks):
+        lines.append("    p = (0,) + w")
+    namespace: dict = {}
+    built = {0}
+    for c, (depth, pattern) in enumerate(checks):
+        entry = "p[" * depth + "x" + "]" * depth
+        if len(pattern) == 3:
+            start, step = _KERNELS[pattern]
+            lines += ["    " + line for line in start]
+            lines += ["    for x in w:", f"        v = {entry}"] if depth else ["    for v in w:"]
+            lines += ["        " + line for line in step]
+            continue
+        if depth not in built:
+            lines.append(f"    w{depth} = tuple([{entry} for x in w])")
+            built.add(depth)
+        namespace[f"m{c}"] = _matcher(pattern)
+        lines.append(f"    if m{c}({f'w{depth}' if depth else 'w'}) is not None:")
+        lines.append("        return False")
+    lines.append("    return True")
+    exec(compile("\n".join(lines), f"<chain predicate {checks}>", "exec"), namespace)
+    return namespace["avoids"]
+
+
+@dataclass(frozen=True)
+class PreparedChain:
+    """A chain resolved to its checks, once per chain (see _prepared_chain).
+
+    levels holds the patterns of each level in chain order, for the tree
+    walk.  checks holds every pattern with its depth in the order the chain
+    predicate runs them, cheapest first; deeper holds those of levels 2
+    on, in the same order, for words whose level 1 is already settled.
+    predicate and deeper_predicate are their compiled predicates, each
+    compiled on first use.
+    """
+
+    levels: LevelValues
+    checks: tuple[Check, ...]
+    deeper: tuple[Check, ...]
+
+    @cached_property
+    def predicate(self) -> Predicate:
+        return _compile_predicate(self.checks)
+
+    @cached_property
+    def deeper_predicate(self) -> Predicate:
+        return _compile_predicate(self.deeper)
 
 
 @lru_cache(maxsize=None)
 def _prepared_chain(level_values: LevelValues) -> PreparedChain:
-    """Resolve each pattern of a chain to its prepared form and order the
-    checks, once per chain.  The patterns of strongly_avoids may come from
-    any Permutation, so _matcher rejects the empty pattern here."""
-    levels = tuple(tuple(map(_prepare, level)) for level in level_values)
+    """Order the checks of a chain, once per chain."""
     checks = tuple(
-        sorted(((depth, p) for depth, level in enumerate(levels) for p in level), key=_cost)
+        sorted(
+            ((depth, p) for depth, level in enumerate(level_values) for p in level), key=_cost
+        )
     )
-    return PreparedChain(levels, checks, tuple(c for c in checks if c[0]))
-
-
-def _avoids_prepared(values: tuple[int, ...], checks: tuple[Check, ...]) -> bool:
-    """Chain predicate on a raw word: False at the first check whose power
-    of the word contains its pattern.
-
-    Any check that fails rejects the word, so the order changes only the
-    cost.  The checks run cheapest first: a Length3Rule is one O(n) pass,
-    at whatever depth it sits, while the compiled search of a pattern of
-    length k nests k loops over the word.  So a rule that rejects the word
-    spares every search, and a short search spares the longer ones.  Each
-    power is built, from the one below it, only when a check first needs
-    it, which costs one O(n) pass like a rule.
-    """
-    powers = [values]
-    for depth, (_, rule, match) in checks:
-        while len(powers) <= depth:
-            powers.append(tuple([values[v - 1] for v in powers[-1]]))
-        word = powers[depth]
-        if match(word) if rule is None else rule.kernel(rule.view(word)):
-            return False
-    return True
+    return PreparedChain(level_values, checks, tuple(c for c in checks if c[0]))
 
 
 def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
@@ -159,7 +206,7 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    return _avoids_prepared(pi.values, _prepared_chain(chain.level_values()).checks)
+    return _prepared_chain(chain.level_values()).predicate(pi.values)
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
@@ -167,4 +214,4 @@ def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    return _avoids_prepared(pi.values, _prepared_chain(((tau.values,), (tau.values,))).checks)
+    return _prepared_chain(((tau.values,), (tau.values,))).predicate(pi.values)

@@ -14,25 +14,26 @@ patterns, and only on those slots.  One walk to n counts every size up
 to n; count_chain keeps those counts per chain for the life of the
 process, and walk_chain_avoiders streams the words of every size.
 
-Deeper levels are in general not closed under deleting the maximum, so
-for most chains they are checked on every node the walk reaches, and
-the nodes at depth m are the level-1 avoiders of size m.  Those checks
-run in order of cost, not of level (see chains._avoids_prepared): first
-the length-3 rules, each one O(n) pass at whatever level it sits, then
-the compiled searches, shortest pattern first.  For a chain such as
-13245:2143:312 the rule on the cube rejects most nodes, and the search
-for 2143 in the square runs only on the rest.  A power is built only
-when a check first needs it.  The chains of the paper are the
-exception.  A chain whose tree prunes at level 2 has
-exactly two levels, and either its second level is exactly 312 and its
-first contains 312, or the same with 231.  Every such avoider is a
-strong 312 (or 231) avoider: it and its square avoid the pattern.
-Deleting the maximum of a strong 312 avoider leaves a strong 312
-avoider, and deleting the minimum of a strong 231 avoider leaves a
-strong 231 avoider.  So the tree of the 312 side inserts the maximum,
-the tree of the 231 side inserts the minimum (the other values shift up
-by one), each child is checked at level 2 before it is pushed, and the
-nodes at depth m are exactly the chain avoiders of size m.
+Deeper levels, where the chain has any, are in general not closed under
+deleting the maximum, so for most chains they are checked on every node
+the walk reaches, and the nodes at depth m are the level-1 avoiders of
+size m.  The check is one function compiled per chain (see
+chains._compile_predicate), which runs in order of cost, not of level:
+first each pattern of length 3, in one O(n) pass that reads its power of
+the node in place, then the compiled searches, shortest pattern first,
+each on its power built once as a tuple.  For a chain such as
+13245:2143:312 the pass over the cube rejects most nodes, and the search
+for 2143 in the square runs only on the rest.  The chains of the paper
+are the exception.  A chain whose tree prunes at level 2 has exactly two
+levels, and either its second level is exactly 312 and its first
+contains 312, or the same with 231.  Every such avoider is a strong 312
+(or 231) avoider: it and its square avoid the pattern.  Deleting the
+maximum of a strong 312 avoider leaves a strong 312 avoider, and
+deleting the minimum of a strong 231 avoider leaves a strong 231
+avoider.  So the tree of the 312 side inserts the maximum, the tree of
+the 231 side inserts the minimum (the other values shift up by one),
+each child is checked at level 2 before it is pushed, and the nodes at
+depth m are exactly the chain avoiders of size m.
 
 Proof that a strong 312 avoider pi of size n stays strong when n is
 deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, Check, LevelValues, PreparedChain, _avoids_prepared, _prepared_chain
+from .chains import ChainSpec, LevelValues, Predicate, PreparedChain, _prepared_chain
 from .patterns import Matcher, _complement, _length3_rule, _matcher
 from .perm import Permutation
 
@@ -155,8 +156,8 @@ def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
     levels = prepared.levels
     if len(levels) != 2 or len(levels[1]) != 1:
         return None
-    square = levels[1][0][0]
-    if square in ((3, 1, 2), (2, 3, 1)) and any(p == square for p, _, _ in levels[0]):
+    square = levels[1][0]
+    if square in ((3, 1, 2), (2, 3, 1)) and square in levels[0]:
         return square
     return None
 
@@ -175,13 +176,13 @@ def _grow(
     on the complement of the word, where the minimum is the maximum."""
     square = _pruned_square(prepared)
     minimum = square == (2, 3, 1)
-    level1 = [tuple(_complement(p)) if minimum else p for p, _, _ in prepared.levels[0]]
+    level1 = [tuple(_complement(p)) if minimum else p for p in prepared.levels[0]]
     rules = [rule.free_slots for rule in map(_length3_rule, level1) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
     if minimum:
         rejects = [partial(_through_minimum, match) for match in rejects]
     if square is not None:
-        rejects.append(partial(_square_contains, prepared.deeper))
+        rejects.append(partial(_square_contains, prepared.deeper_predicate))
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -213,23 +214,23 @@ def _through_minimum(match: Matcher, word: tuple[int, ...], i: int) -> bool:
     return match(tuple(_complement(word)), i) is not None
 
 
-def _square_contains(deeper: tuple[Check, ...], word: tuple[int, ...], i: int) -> bool:
+def _square_contains(deeper_predicate: Predicate, word: tuple[int, ...], i: int) -> bool:
     """True when the square of the word contains level 2 of the chain, the
     one level the deeper checks of a pruned chain hold.  It takes the slot
     i of the inserted entry, as the pinned searches do, and does not need
     it."""
-    return not _avoids_prepared(word, deeper)
+    return not deeper_predicate(word)
 
 
 def _avoiders(
     words: Iterable[tuple[int, ...]], prepared: PreparedChain
 ) -> Iterable[tuple[int, ...]]:
     """The chain avoiders among the given nodes of the chain's tree, in
-    their order: all of them when the tree prunes at level 2."""
-    if _pruned_square(prepared) is not None:
+    their order: all of them when the chain has one level or the tree
+    prunes at level 2."""
+    if not prepared.deeper or _pruned_square(prepared) is not None:
         return words
-    deeper = prepared.deeper
-    return (word for word in words if _avoids_prepared(word, deeper))
+    return filter(prepared.deeper_predicate, words)
 
 
 def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:

@@ -11,17 +11,20 @@ all run it.  Its pinned form looks only at occurrences that put the
 pattern's maximum at a given index: the ones that inserting a maximum in
 the generating tree of enumeration.py can create.
 
-Patterns of length 3 also have a Length3Rule, which decides both
-questions in O(n) and which the chain predicate and the tree use in
-place of the search: 231 by one stack pass, 123 by two running minima,
-the other four through reversal or complement of the word, and the free
-slots for a new maximum from the sides and the order of the two entries
-beside the pattern's 3.  The compiled search stays the one generic path
-for every other length.
+Patterns of length 3 also have a Length3Rule, which gives the tree of
+enumeration.py the free slots for a new maximum in O(n), from the sides
+and the order of the two entries beside the pattern's 3.  Whether a word
+contains one of them is decided in O(n) too, by a kernel that the chain
+predicate of chains.py writes into its source and runs on each power in
+place, left to right, stopping at the first occurrence.  Three kernels are
+written out: 231 by a stack that sorts, 312 by a stack that realises, 123
+by two running minima.  The other three patterns are their complements,
+decided by the same source with every comparison flipped and the starting
+bounds swapped, so no word is ever reversed.  The compiled search stays
+the one generic path for every other length.
 """
 
 import operator
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -158,41 +161,6 @@ def _complement(word: tuple[int, ...]) -> Iterable[int]:
     return map((len(word) + 1).__sub__, word)
 
 
-def _reverse_complement(word: tuple[int, ...]) -> Iterable[int]:
-    return map((len(word) + 1).__sub__, reversed(word))
-
-
-def _contains_231(values: Iterable[int]) -> bool:
-    """One pass through a stack, which sorts exactly the words that avoid
-    231 (Knuth, TAOCP vol. 1, 2.2.1).  An entry popped by a larger later
-    one is the "2" and its popper the "3", so any entry after them that
-    lies below the last popped entry completes a 231."""
-    stack = []
-    floor = 0
-    for v in values:
-        if v < floor:
-            return True
-        while stack and stack[-1] < v:
-            floor = stack.pop()
-        stack.append(v)
-    return False
-
-
-def _contains_123(values: Iterable[int]) -> bool:
-    """Two running minima: the least entry so far, and the least entry so
-    far that has a smaller one before it.  An entry above the second
-    completes a 123."""
-    least = second = sys.maxsize
-    for v in values:
-        if v > second:
-            return True
-        if v > least:
-            second = v
-        else:
-            least = v
-    return False
-
-
 def _free_before_run(ok: Callable[[int, int], bool], word: tuple[int, ...]) -> range:
     """The slots i at which each step a, b of word[:i] has ok(a, b): those
     up to the end of the word's first such run."""
@@ -222,27 +190,11 @@ def _free_at_cuts(
 
 
 class Length3Rule(NamedTuple):
-    """The O(n) decisions for one pattern of length 3.
-
-    free_slots(word) gives the slots 0..len(word) of any word at which
-    inserting a new maximum completes no occurrence.  The word contains
-    the pattern exactly when kernel(view(word)) is true: view is one of
-    the symmetries that map the pattern to 231 or 123.
-    """
+    """The O(n) insertion rule for one pattern of length 3: free_slots(word)
+    gives the slots 0..len(word) of any word at which inserting a new
+    maximum completes no occurrence."""
 
     free_slots: Callable[[tuple[int, ...]], Iterable[int]]
-    view: Callable[[tuple[int, ...]], Iterable[int]]
-    kernel: Callable[[Iterable[int]], bool]
-
-
-# Each pattern of length 3 as the image of 231 or 123 under a symmetry.  A
-# word contains view(base) exactly when view(word) contains base, since each
-# view is its own inverse.  Later views are cheaper and win where two agree.
-_KERNELS = {
-    tuple(view(base)): (view, kernel)
-    for kernel, base in ((_contains_231, (2, 3, 1)), (_contains_123, (1, 2, 3)))
-    for view in (_reverse_complement, _complement, reversed, _same)
-}
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +204,7 @@ def _length3_rule(pattern: tuple[int, ...]) -> Length3Rule | None:
     An inserted maximum can only play the pattern's 3.  The rule follows
     from the sides of the 3 that the other two entries sit on, and from
     whether they rise or fall; the maximum is free where no two entries
-    on those sides step that way.  Reversal and complement commute with
-    containment, so two kernels decide all six patterns.
+    on those sides step that way.
     """
     if len(pattern) != 3:
         return None
@@ -261,22 +212,89 @@ def _length3_rule(pattern: tuple[int, ...]) -> Length3Rule | None:
     first, second = (v for v in pattern if v != 3)
     rises = first < second
     if top == 1:
-        free_slots = partial(_free_at_cuts, _complement if rises else _same)
-    else:
-        run = _free_after_run if top == 0 else _free_before_run
-        free_slots = partial(run, operator.gt if rises else operator.lt)
-    view, kernel = _KERNELS[pattern]
-    return Length3Rule(free_slots, view, kernel)
+        return Length3Rule(partial(_free_at_cuts, _complement if rises else _same))
+    run = _free_after_run if top == 0 else _free_before_run
+    return Length3Rule(partial(run, operator.gt if rises else operator.lt))
 
 
-Prepared = tuple[tuple[int, ...], Length3Rule | None, Matcher | None]
+# The containment kernels of the patterns of length 3, as source for the
+# chain predicate of chains.py: the lines that start the pass, and the lines
+# run on each entry v of the word, which return False at the first
+# occurrence.  Each names its comparisons {lt} and its starting bounds {low}
+# (below every entry) and {high} (above every entry), n being the length of
+# the word.
+#
+# 231: one pass through a stack, which sorts exactly the words that avoid
+# 231 (Knuth, TAOCP vol. 1, 2.2.1).  An entry popped by a larger later one
+# is the "2" and its popper the "3", so any entry after them that lies below
+# the last popped entry completes a 231.
+_STACK_SORT = (
+    ("s = []", "floor = {low}"),
+    (
+        "if v {lt} floor:",
+        "    return False",
+        "while s and s[-1] {lt} v:",
+        "    floor = s.pop()",
+        "s.append(v)",
+    ),
+)
+# 312: a stack fed 1, 2, ..., n can output exactly the words that avoid 312
+# (Knuth, 2.2.1).  Every value below the running maximum top is on the
+# stack, so an entry v below top must be the top of the stack: every value
+# between v and top has come out before it, and none may come after.  s
+# lists the ends v < top of those intervals in increasing order, dropping
+# the ones a new interval holds; an entry inside one, with an odd number of
+# ends below it, completes a 312 with that interval's ends.
+_STACK_REALISE = (
+    ("s = []", "top = {low}"),
+    (
+        "if top {lt} v:",
+        "    top = v",
+        "else:",
+        "    while s and v {lt} s[-1]:",
+        "        s.pop()",
+        "    if len(s) & 1:",
+        "        return False",
+        "    s.append(v)",
+        "    s.append(top)",
+    ),
+)
+# 123: two running minima, the least entry so far and the least one that
+# has a smaller one before it.  An entry above the second completes a 123.
+_TWO_MINIMA = (
+    ("least = second = {high}",),
+    (
+        "if second {lt} v:",
+        "    return False",
+        "if least {lt} v:",
+        "    second = v",
+        "else:",
+        "    least = v",
+    ),
+)
 
 
-def _prepare(pattern: tuple[int, ...]) -> Prepared:
-    """A pattern with the test that decides it: its Length3Rule if it has
-    length 3, else its compiled search; the other one is None."""
-    rule = _length3_rule(pattern)
-    return pattern, rule, _matcher(pattern) if rule is None else None
+def _kernel_source(
+    template: tuple[tuple[str, ...], tuple[str, ...]], flip: bool
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A kernel's lines for its base pattern, or with flip for the base's
+    complement: a word contains the complement exactly when its complement
+    contains the base, which is the same pass with every comparison
+    flipped and the bounds swapped."""
+    names = dict(lt=">", low="n + 1", high="0") if flip else dict(lt="<", low="0", high="n + 1")
+    return tuple(tuple(line.format(**names) for line in part) for part in template)
+
+
+# The kernel of each pattern of length 3: (start lines, lines per entry v).
+_KERNELS = {
+    tuple(4 - v for v in base) if flip else base: _kernel_source(template, flip)
+    for base, template in (
+        ((2, 3, 1), _STACK_SORT),
+        ((3, 1, 2), _STACK_REALISE),
+        ((1, 2, 3), _TWO_MINIMA),
+    )
+    for flip in (False, True)
+}
 
 
 def contains(pi: Permutation, tau: Permutation) -> bool:

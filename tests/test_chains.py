@@ -143,7 +143,7 @@ def test_checks_run_cheapest_first():
     def order(text):
         prepared = _prepared_chain(parse_chain(text).level_values())
         assert prepared.deeper == tuple(c for c in prepared.checks if c[0])
-        return [(depth, "".join(map(str, p))) for depth, (p, _, _) in prepared.checks]
+        return [(depth, "".join(map(str, p))) for depth, p in prepared.checks]
 
     # Every length-3 rule, then the searches by length, then by depth.
     assert order("13245:2143:312") == [(2, "312"), (1, "2143"), (0, "13245")]

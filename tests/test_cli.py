@@ -354,11 +354,32 @@ def test_importing_the_cli_imports_no_multiprocessing():
 
 
 def test_importing_the_cli_compiles_no_matcher():
-    # Each pattern's search is compiled on first use, never at start-up.
-    code = "import chainperm.cli, chainperm.patterns as p; print(p._matcher.cache_info().currsize)"
+    # Each pattern's search and each chain predicate is compiled on first
+    # use, never at start-up.
+    code = (
+        "import chainperm.cli, chainperm.patterns as p, chainperm.chains as c; "
+        "print(p._matcher.cache_info().currsize, c._compile_predicate.cache_info().currsize)"
+    )
     result = run_child([sys.executable, "-c", code])
     assert result.returncode == 0, describe(result)
-    assert result.stdout == "0\n"
+    assert result.stdout == "0 0\n"
+
+
+def test_table_chains_compile_two_predicates():
+    # The 18 table chains check the square for 312 or for 231 beyond
+    # level 1, so counting them all compiles those two deeper predicates
+    # and nothing else.
+    code = (
+        "import chainperm as cp, chainperm.chains as c\n"
+        "chains = [ch for f in cp.formula_table() for ch in (f.chain_231, f.chain_312)]\n"
+        "for chain in chains:\n"
+        "    cp.count_chain(6, chain)\n"
+        "deeper = {c._prepared_chain(ch.level_values()).deeper for ch in chains}\n"
+        "print(len(chains), sorted(deeper), c._compile_predicate.cache_info().currsize)"
+    )
+    result = run_child([sys.executable, "-c", code])
+    assert result.returncode == 0, describe(result)
+    assert result.stdout == "18 [((1, (2, 3, 1)),), ((1, (3, 1, 2)),)] 2\n"
 
 
 def load_tracing():

@@ -19,7 +19,7 @@ from chainperm import (
     identity,
     parse_chain,
 )
-from chainperm.chains import _avoids_prepared, _prepared_chain
+from chainperm.chains import _prepared_chain
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
 from helpers import scan_count_chain
@@ -37,9 +37,9 @@ def level1_walk(chain, n):
     """The chain avoiders of sizes 0 to n found on the level-1 tree, with
     every deeper level checked on every node: the tree a chain that does
     not prune at level 2 walks."""
-    deeper = _prepared_chain(chain.level_values()).deeper
+    avoids_deeper = _prepared_chain(chain.level_values()).deeper_predicate
     level1 = ChainSpec(chain.levels[:1])
-    return [w for w in walk_chain_avoiders(n, level1) if _avoids_prepared(w, deeper)]
+    return [w for w in walk_chain_avoiders(n, level1) if avoids_deeper(w)]
 
 
 def splits_by_size(words, n):

@@ -17,12 +17,14 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
+from chainperm.chains import _compile_predicate
 from chainperm.patterns import _length3_rule, _matcher
 from helpers import (
     PATTERNS_3,
     PATTERNS_4,
     PATTERNS_UP_TO_5,
     all_words,
+    compose_words,
     first_occurrence_scan,
     first_occurrence_through_max,
     scan_contains,
@@ -186,10 +188,29 @@ def test_insertion_rule_agrees_with_scan_oracle(pattern):
 
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
 def test_length3_kernel_agrees_with_scan_oracle(pattern):
-    rule = _length3_rule(pattern)
+    # Each kernel reads the power in place, so it runs here through the
+    # compiled predicate of a chain whose one check sits at that depth.
+    # Every power is again a word of the same size, scanned once.
+    predicates = [_compile_predicate(((depth, pattern),)) for depth in range(4)]
     for n in range(9):
-        for word in all_words(n):
-            assert rule.kernel(rule.view(word)) == scan_contains(word, pattern), word
+        scanned = {word: scan_contains(word, pattern) for word in all_words(n)}
+        for word in scanned:
+            power = word
+            for depth, avoids_power in enumerate(predicates):
+                assert avoids_power(word) != scanned[power], (depth, word)
+                power = compose_words(word, power)
+
+
+def test_chain_predicate_is_built_only_from_permutations():
+    # The predicate is compiled from source chosen by each pattern and
+    # depth, so anything but a permutation of 1..k at an integer depth
+    # >= 0 is refused before any is written.
+    for bad in ((), (1, 1, 2), (0, 1, 2), (2, 3, 4), (1, 3), (1, 1)):
+        with pytest.raises(ValueError):
+            _compile_predicate(((1, bad),))
+    for depth in (-1, 1.5, "1"):
+        with pytest.raises(ValueError):
+            _compile_predicate(((depth, (3, 1, 2)),))
 
 
 def test_only_length3_patterns_have_a_rule():
