@@ -14,7 +14,9 @@ permutation would collide with the pattern separator.
 Each chain is decided by one predicate, written out as source and
 compiled on first use (see _compile_predicate): chain_avoids and
 strongly_avoids run it on all the levels, and the generating tree of
-enumeration.py on the levels from 2 on.
+enumeration.py on the levels from 2 on, before its pinned level-1
+searches on every child it decides in full, and after them on the
+nodes it still grows.
 """
 
 from dataclasses import dataclass

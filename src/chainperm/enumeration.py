@@ -15,25 +15,32 @@ to n; count_chain keeps those counts per chain for the life of the
 process, and walk_chain_avoiders streams the words of every size.
 
 Deeper levels, where the chain has any, are in general not closed under
-deleting the maximum, so for most chains they are checked on every node
-the walk reaches, and the nodes at depth m are the level-1 avoiders of
-size m.  The check is one function compiled per chain (see
-chains._compile_predicate), which runs in order of cost, not of level:
-first each pattern of length 3, in one O(n) pass that reads its power of
-the node in place, then the compiled searches, shortest pattern first,
-each on its power built once as a tuple.  For a chain such as
-13245:2143:312 the pass over the cube rejects most nodes, and the search
-for 2143 in the square runs only on the rest.  The chains of the paper
-are the exception.  A chain whose tree prunes at level 2 has exactly two
-levels, and either its second level is exactly 312 and its first
-contains 312, or the same with 231.  Every such avoider is a strong 312
-(or 231) avoider: it and its square avoid the pattern.  Deleting the
-maximum of a strong 312 avoider leaves a strong 312 avoider, and
-deleting the minimum of a strong 231 avoider leaves a strong 231
-avoider.  So the tree of the 312 side inserts the maximum, the tree of
-the 231 side inserts the minimum (the other values shift up by one),
-each child is checked at level 2 before it is pushed, and the nodes at
-depth m are exactly the chain avoiders of size m.
+deleting the maximum, so for most chains the nodes at depth m are the
+level-1 avoiders of size m, and the deeper levels only decide which of
+them the walk yields.  They are checked by one function compiled per
+chain (see chains._compile_predicate), which runs in order of cost, not
+of level: first each pattern of length 3, in one O(n) pass that reads
+its power of the node in place, then the compiled searches, shortest
+pattern first, each on its power built once as a tuple.  A child of the
+last size n is never grown, so it is decided in full when it is built,
+cheapest check first: the deeper levels, then the pinned level-1
+searches.  It is yielded or dropped, never pushed.  Most nodes of a tree
+that does not prune are such leaves; for a chain such as 13245:2143:312
+the pass over the cube rejects most of them, and neither the search for
+2143 in the square nor the pinned search for 13245 runs on those.  A
+smaller child is pushed on level 1 alone, since its descendants may pass
+the deeper levels that it fails, and is yielded only if it passes them.
+The chains of the paper are the exception.  A chain whose tree prunes at
+level 2 has exactly two levels, and either its second level is exactly
+312 and its first contains 312, or the same with 231.  Every such
+avoider is a strong 312 (or 231) avoider: it and its square avoid the
+pattern.  Deleting the maximum of a strong 312 avoider leaves a strong
+312 avoider, and deleting the minimum of a strong 231 avoider leaves a
+strong 231 avoider.  So the tree of the 312 side inserts the maximum,
+the tree of the 231 side inserts the minimum (the other values shift up
+by one), every child is decided in full, its square first, before it is
+pushed, and the nodes at depth m are exactly the chain avoiders of size
+m.
 
 Proof that a strong 312 avoider pi of size n stays strong when n is
 deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
@@ -78,12 +85,14 @@ The proof covers squares only: nothing is claimed for cubes and higher
 powers, so three-level chains such as 312:312:312 stay on the level-1
 tree, with every deeper level checked on every node.
 
-Large trees are counted in a process pool.  The parent counts the sizes
-up to the middle depth n // 2 while it grows the nodes there, and each
-of those nodes is one shard, which counts the deeper sizes below it.
-Shard results are merged by summation, so counts are identical for every
-worker count.  Sizes are capped at MAX_ENUMERATION_N unless the caller
-forces past it.
+Large trees are counted in a process pool.  The parent grows the tree
+alone up to the middle depth n // 2 and counts the chain avoiders among
+its nodes, and each node of that depth is one shard, which counts the
+deeper sizes below it.  A shard starts from a tree node, not from a
+chain avoider, since a node that fails the deeper levels may still have
+descendants that pass them.  Shard results are merged by summation, so
+counts are identical for every worker count.  Sizes are capped at
+MAX_ENUMERATION_N unless the caller forces past it.
 """
 
 import itertools
@@ -93,7 +102,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, LevelValues, Predicate, PreparedChain, _prepared_chain
+from .chains import ChainSpec, LevelValues, PreparedChain, _prepared_chain
 from .patterns import Matcher, _complement, _length3_rule, _matcher
 from .perm import Permutation
 
@@ -165,15 +174,23 @@ def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
 def _grow(
     nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedChain
 ) -> Iterator[tuple[int, ...]]:
-    """The tree nodes of every size from lo to n in and below the given
-    nodes, which must themselves be tree nodes of size at most n; each
-    word comes before the words grown from it.  A child is built only at
-    the slots that every length-3 rule leaves free.
+    """The chain avoiders of every size from lo to n grown from the given
+    nodes, which must be tree nodes of size at most n and are not yielded
+    themselves.  A child is built only at the slots that every length-3
+    rule leaves free.  Each yielded word comes before the words grown
+    from it, but not always after the word it grew from, which may fail
+    the deeper levels.
 
     The nodes are the level-1 avoiders, grown by inserting the maximum,
     unless the tree prunes at level 2.  Then they are the chain avoiders,
     and the 231 side inserts the minimum: its level-1 patterns are decided
-    on the complement of the word, where the minimum is the maximum."""
+    on the complement of the word, where the minimum is the maximum.
+
+    A child that is not grown any further (one of size n), and every
+    child of a pruned tree, is decided in full, cheapest check first: the
+    deeper levels, then the pinned level-1 searches.  Any other child is
+    pushed on level 1 alone and yielded only if it passes the deeper
+    levels."""
     square = _pruned_square(prepared)
     minimum = square == (2, 3, 1)
     level1 = [tuple(_complement(p)) if minimum else p for p in prepared.levels[0]]
@@ -181,16 +198,19 @@ def _grow(
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
     if minimum:
         rejects = [partial(_through_minimum, match) for match in rejects]
-    if square is not None:
-        rejects.append(partial(_square_contains, prepared.deeper_predicate))
+    deeper = prepared.deeper_predicate if prepared.deeper else None
     stack = list(nodes)
     while stack:
         word = stack.pop()
         size = len(word) + 1
-        if size > lo:
-            yield word
         if size > n:
             continue
+        leaf = size == n
+        # The deeper levels run before the pinned searches on a child
+        # decided in full, and after them on one that is pushed.
+        first = deeper if leaf or square is not None else None
+        last = deeper if first is None else None
+        keep = size >= lo
         if minimum:
             seen = tuple(map(size.__sub__, word))
             word, new = tuple(map((1).__add__, word)), (1,)
@@ -201,36 +221,22 @@ def _grow(
             free = [i for i in free_slots(seen) if i in free]
         for i in free:
             child = word[:i] + new + word[i:]
+            if first is not None and not first(child):
+                continue
             for reject in rejects:
                 if reject(child, i):
                     break
             else:
-                stack.append(child)
+                if not leaf:
+                    stack.append(child)
+                if keep and (last is None or last(child)):
+                    yield child
 
 
 def _through_minimum(match: Matcher, word: tuple[int, ...], i: int) -> bool:
     """A pinned search of a complemented pattern, run on the complement of
     the word, where the minimum inserted at index i is the maximum."""
     return match(tuple(_complement(word)), i) is not None
-
-
-def _square_contains(deeper_predicate: Predicate, word: tuple[int, ...], i: int) -> bool:
-    """True when the square of the word contains level 2 of the chain, the
-    one level the deeper checks of a pruned chain hold.  It takes the slot
-    i of the inserted entry, as the pinned searches do, and does not need
-    it."""
-    return not deeper_predicate(word)
-
-
-def _avoiders(
-    words: Iterable[tuple[int, ...]], prepared: PreparedChain
-) -> Iterable[tuple[int, ...]]:
-    """The chain avoiders among the given nodes of the chain's tree, in
-    their order: all of them when the chain has one level or the tree
-    prunes at level 2."""
-    if not prepared.deeper or _pruned_square(prepared) is not None:
-        return words
-    return filter(prepared.deeper_predicate, words)
 
 
 def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
@@ -249,8 +255,7 @@ def _count_below(
     below the given tree nodes.  A shard names its chain by its
     patterns, since the compiled searches of its prepared form do not
     pickle; a forked worker finds that form in the cache it inherits."""
-    prepared = _prepared_chain(level_values)
-    return _split(lo, n, _avoiders(_grow(nodes, lo, n, prepared), prepared))
+    return _split(lo, n, _grow(nodes, lo, n, _prepared_chain(level_values)))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -281,14 +286,19 @@ def _pool_size(jobs: int, shards: int) -> int:
 
 def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
-    of the chain's tree.  The parent counts the sizes up to the middle
-    depth n // 2 while it grows the nodes there; below each of those
-    nodes, a shard counts the deeper sizes."""
+    of the chain's tree.  The parent grows the tree alone up to the middle
+    depth n // 2 and counts the chain avoiders among those nodes; below
+    each node of size n // 2, a shard counts the deeper sizes.  The
+    shards start from tree nodes, not from chain avoiders: a node that
+    fails the deeper levels can still have descendants that pass them."""
     half = n // 2
     prepared = _prepared_chain(level_values)
-    top = list(_grow([()], 1, half, prepared))
+    # The tree is level 1 of the chain, unless it prunes at level 2; a
+    # chain of one level is its own level 1.
+    tree = prepared if _pruned_square(prepared) else _prepared_chain(level_values[:1])
+    top = list(_grow([()], 1, half, tree))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, _avoiders(top, prepared))
+    splits = _split(1, half, top if tree is prepared else filter(prepared.deeper_predicate, top))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
         shards = [_count_below(half + 1, n, level_values, frontier)]
@@ -346,13 +356,15 @@ def walk_chain_avoiders(
 ) -> Iterator[tuple[int, ...]]:
     """Stream the chain avoiders of every size 0, ..., n as raw words, in
     the order one walk of the generating tree reaches them: sizes are
-    interleaved, and each word comes after the word it grew from.
+    interleaved, and each word comes before the words grown from it, but
+    not always after the word it grew from, which may fail the deeper
+    levels and then is not streamed.
 
     >>> from .chains import parse_chain
     >>> sorted(walk_chain_avoiders(3, parse_chain("312:312")))
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    prepared = _prepared_chain(chain.level_values())
-    return _avoiders(_grow([()], 0, n, prepared), prepared)
+    grown = _grow([()], 1, n, _prepared_chain(chain.level_values()))
+    return itertools.chain([()], grown)
 

@@ -382,6 +382,19 @@ def test_table_chains_compile_two_predicates():
     assert result.stdout == "18 [((1, (2, 3, 1)),), ((1, (3, 1, 2)),)] 2\n"
 
 
+def test_deep_chain_compiles_one_predicate():
+    # A chain whose tree does not prune grows the tree of its level 1
+    # alone, which needs no predicate: counting compiles the deeper one.
+    code = (
+        "import chainperm as cp, chainperm.chains as c\n"
+        "cp.count_chain(7, cp.parse_chain('13245:2143:312'))\n"
+        "print(c._compile_predicate.cache_info().currsize)"
+    )
+    result = run_child([sys.executable, "-c", code])
+    assert result.returncode == 0, describe(result)
+    assert result.stdout == "1\n"
+
+
 def load_tracing():
     path = PYPROJECT.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -22,7 +22,7 @@ from chainperm import (
 from chainperm.chains import _prepared_chain
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
-from helpers import scan_count_chain
+from helpers import all_words, scan_chain_avoids, scan_count_chain
 from strategies import chain_levels, pattern_words
 
 TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
@@ -330,6 +330,57 @@ def test_walked_avoiders_agree_with_counts():
         assert len(set(walked)) == len(walked), text
         for n in range(1, 8):
             assert sum(len(w) == n for w in walked) == count_chain(n, chain).total, (text, n)
+
+
+# Three-level chains and their reverse complements, whose trees do not
+# prune, and a chain of one level.
+WALKED_CHAINS = [
+    chain
+    for text in ("13245:2143:312", "23415:3241:312", "45312:3421:123", "312:312:312")
+    for chain in (parse_chain(text), parse_chain(text).reverse_complement())
+] + [parse_chain("2413")]
+
+
+def test_walk_yields_exactly_the_chain_avoiders():
+    words = [w for n in range(8) for w in all_words(n)]
+    for chain in WALKED_CHAINS:
+        levels = chain.level_values()
+        walked = list(walk_chain_avoiders(7, chain))
+        assert len(set(walked)) == len(walked), chain
+        assert set(walked) == {w for w in words if scan_chain_avoids(w, levels)}, chain
+        # A walk to n <= 3 grows leaves of size n from roots below the
+        # sizes its shards count.
+        for n in (1, 2, 3):
+            enumeration._COUNTS.clear()
+            ref = count_chain(n, chain)
+            assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels), (chain, n)
+
+
+def test_shards_start_from_nodes_that_fail_the_deeper_levels(monkeypatch):
+    # At n = 7 each shard starts from a level-1 node of size 3.  Some of
+    # them fail the deeper levels of this chain (the cube of 123 is 123)
+    # and still have descendants that are chain avoiders.
+    chain = parse_chain("45312:3421:123")
+    levels = chain.level_values()
+    n, half = 7, 3
+    roots = [w for w in walk_chain_avoiders(half, ChainSpec(chain.levels[:1])) if len(w) == half]
+    grown = {
+        tuple(v for v in w if v <= half)
+        for m in range(half + 1, n + 1)
+        for w in all_words(m)
+        if scan_chain_avoids(w, levels)
+    }
+    assert [r for r in roots if r in grown and not scan_chain_avoids(r, levels)]
+    expected = [scan_count_chain(m, levels) for m in range(1, n + 1)]
+    count_chain(n, chain)
+    assert [(r.total, r.by_position_of_one) for r in enumeration._COUNTS[chain]] == expected
+    monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
+    opened = spy_on_pools(monkeypatch)
+    enumeration._COUNTS.clear()
+    count_chain(n, chain, jobs=2)
+    assert [(r.total, r.by_position_of_one) for r in enumeration._COUNTS[chain]] == expected
+    if enumeration._pool_size(2, len(roots)) > 1:
+        assert opened == [2]
 
 
 def test_walk_chain_avoiders_size_bound():
