@@ -19,33 +19,33 @@ searches on every child it decides in full, and after them on the
 nodes it still grows.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .patterns import _KERNELS, Pattern, ParseError, _matcher, parse_pattern
-from .perm import Permutation
+from .perm import Frozen, Permutation
 
 Level = tuple[Pattern, ...]
 LevelValues = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """An ordered, non-empty sequence of non-empty pattern levels."""
+
+    __slots__ = ("levels",)
 
     levels: tuple[Level, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: Iterable[Iterable[Permutation]]) -> None:
         levels = tuple(
             tuple(p if isinstance(p, Pattern) else Pattern(p.values) for p in level)
-            for level in self.levels
+            for level in levels
         )
-        object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("a chain needs at least one level")
         if any(not level for level in levels):
             raise ValueError("every chain level needs at least one pattern")
+        object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -165,7 +165,6 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     return namespace["avoids"]
 
 
-@dataclass(frozen=True)
 class PreparedChain:
     """A chain resolved to its checks, once per chain (see _prepared_chain).
 
@@ -174,12 +173,24 @@ class PreparedChain:
     predicate runs them, cheapest first; deeper holds those of levels 2
     on, in the same order, for words whose level 1 is already settled.
     predicate and deeper_predicate are their compiled predicates, each
-    compiled on first use.
+    compiled on first use and then kept in the instance's __dict__.  No
+    attribute can be assigned; being one per chain, instances compare by
+    identity.
     """
 
     levels: LevelValues
     checks: tuple[Check, ...]
     deeper: tuple[Check, ...]
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
+
+    def __init__(
+        self, levels: LevelValues, checks: tuple[Check, ...], deeper: tuple[Check, ...]
+    ) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "deeper", deeper)
 
     @cached_property
     def predicate(self) -> Predicate:

@@ -33,17 +33,15 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 # strongly_avoids is not called here, but perfbench/tracing.py wraps it by
 # this name.
 from .chains import parse_chain, strongly_avoids  # noqa: F401
 from .enumeration import MAX_ENUMERATION_N, count_chain, walk_chain_avoiders
 from .formulas import evaluate, formula_by_tag, formula_table
-from .perm import Permutation
+from .perm import Frozen, Permutation
 from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimodal_forms
 
 _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
@@ -51,8 +49,7 @@ _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
 _CHAIN_312_312 = parse_chain("312:312")
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(Frozen):
     """One report line: a brute-force count next to its reference value.
 
     formula holds whatever the row is checked against (a closed form,
@@ -60,12 +57,30 @@ class VerificationRow:
     match, or when there is nothing to match.
     """
 
+    __slots__ = ("n", "chain", "brute_force", "formula", "tag", "refinement")
+
     n: int
     chain: str
     brute_force: int
-    formula: int | None = None
-    tag: str | None = None
-    refinement: tuple[int, ...] | None = None
+    formula: int | None
+    tag: str | None
+    refinement: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        n: int,
+        chain: str,
+        brute_force: int,
+        formula: int | None = None,
+        tag: str | None = None,
+        refinement: tuple[int, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "brute_force", brute_force)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "refinement", refinement)
 
     @property
     def agree(self) -> bool:
@@ -99,6 +114,9 @@ Outcome = tuple[list[VerificationRow], list[str]]
 
 def render_report(rows: list[VerificationRow], fmt: str) -> str:
     if fmt == "json":
+        # Imported only for JSON reports, so that CSV runs do not pay for it.
+        import json
+
         return json.dumps([row.json_object() for row in rows], indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

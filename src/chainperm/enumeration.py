@@ -8,7 +8,7 @@ Generating trees and the Catalan and Schroder numbers, Discrete Math.
 146, 1995), walked here depth first.  A child is kept when no level-1
 occurrence passes through the inserted maximum, the only kind it can
 add.  For a pattern of length 3 one O(n) pass over the node gives the
-slots where that holds, its active sites (see patterns.Length3Rule);
+slots where that holds, its active sites (see patterns._length3_rule);
 the compiled pinned search of patterns._matcher runs only for longer
 patterns, and only on those slots.  One walk to n counts every size up
 to n; count_chain keeps those counts per chain for the life of the
@@ -97,14 +97,11 @@ MAX_ENUMERATION_N unless the caller forces past it.
 
 import itertools
 import os
-import signal
-from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator
 
 from .chains import ChainSpec, LevelValues, PreparedChain, _prepared_chain
-from .patterns import Matcher, _complement, _length3_rule, _matcher
-from .perm import Permutation
+from .patterns import _complement, _length3_rule, _matcher
+from .perm import Frozen, Permutation
 
 MAX_ENUMERATION_N = 14
 
@@ -134,8 +131,7 @@ def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
     return gen()
 
 
-@dataclass(frozen=True)
-class CountRefinement:
+class CountRefinement(Frozen):
     """A chain-avoider count together with its split by the position of 1.
 
     by_position_of_one[i - 1] counts the avoiders whose value 1 sits at
@@ -143,19 +139,27 @@ class CountRefinement:
     only for n = 0, where no position holds a 1).
     """
 
+    __slots__ = ("n", "chain", "total", "by_position_of_one")
+
     n: int
     chain: ChainSpec
     total: int
     by_position_of_one: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "by_position_of_one", tuple(self.by_position_of_one))
-        if len(self.by_position_of_one) != (self.n if self.n else 0):
+    def __init__(
+        self, n: int, chain: ChainSpec, total: int, by_position_of_one: Iterable[int]
+    ) -> None:
+        by_position_of_one = tuple(by_position_of_one)
+        if len(by_position_of_one) != (n if n else 0):
             raise ValueError("refinement vector must have one entry per position")
-        if any(c < 0 for c in self.by_position_of_one):
+        if any(c < 0 for c in by_position_of_one):
             raise ValueError("refinement entries must be >= 0")
-        if self.n >= 1 and self.total != sum(self.by_position_of_one):
+        if n >= 1 and total != sum(by_position_of_one):
             raise ValueError("refinement entries must add up to the total")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "by_position_of_one", by_position_of_one)
 
 
 def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
@@ -194,10 +198,8 @@ def _grow(
     square = _pruned_square(prepared)
     minimum = square == (2, 3, 1)
     level1 = [tuple(_complement(p)) if minimum else p for p in prepared.levels[0]]
-    rules = [rule.free_slots for rule in map(_length3_rule, level1) if rule is not None]
+    rules = [rule for rule in map(_length3_rule, level1) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
-    if minimum:
-        rejects = [partial(_through_minimum, match) for match in rejects]
     deeper = prepared.deeper_predicate if prepared.deeper else None
     stack = list(nodes)
     while stack:
@@ -223,20 +225,18 @@ def _grow(
             child = word[:i] + new + word[i:]
             if first is not None and not first(child):
                 continue
+            if rejects:
+                # The searches run on the word whose maximum is the new
+                # entry: the child, or its complement on the 231 side.
+                pinned = seen[:i] + (size,) + seen[i:] if minimum else child
             for reject in rejects:
-                if reject(child, i):
+                if reject(pinned, i):
                     break
             else:
                 if not leaf:
                     stack.append(child)
                 if keep and (last is None or last(child)):
                     yield child
-
-
-def _through_minimum(match: Matcher, word: tuple[int, ...], i: int) -> bool:
-    """A pinned search of a complemented pattern, run on the complement of
-    the word, where the minimum inserted at index i is the maximum."""
-    return match(tuple(_complement(word)), i) is not None
 
 
 def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
@@ -304,8 +304,9 @@ def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
         shards = [_count_below(half + 1, n, level_values, frontier)]
     else:
         # Imported only where a pool opens, so that the many runs that open
-        # none do not pay for the import.
+        # none do not pay for the imports.
         import multiprocessing
+        import signal
 
         tasks = [(half + 1, n, level_values, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C

@@ -6,10 +6,10 @@ arithmetic is integer only; the divisions in T42, T43 and T44 are exact
 and checked.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .chains import ChainSpec, parse_chain
+from .perm import Frozen
 
 
 def _ceil_half(n: int) -> int:
@@ -99,8 +99,7 @@ def _t43(n: int) -> int:
     return _exact_div(4 * k**3 + 3 * k**2 - k, 6) + 1
 
 
-@dataclass(frozen=True)
-class FormulaId:
+class FormulaId(Frozen):
     """One row of the formula table.
 
     chain_231 and chain_312 are reverse complements of each other and
@@ -108,19 +107,31 @@ class FormulaId:
     form covers.
     """
 
+    __slots__ = ("tag", "chain_231", "chain_312", "valid_from", "description")
+
     tag: str
     chain_231: ChainSpec
     chain_312: ChainSpec
     valid_from: int
     description: str
 
-    def __post_init__(self) -> None:
-        if self.chain_312 != self.chain_231.reverse_complement():
-            raise ValueError(
-                f"{self.tag}: the two chains must be reverse complements"
-            )
-        if self.valid_from < 1:
-            raise ValueError(f"{self.tag}: valid_from must be >= 1")
+    def __init__(
+        self,
+        tag: str,
+        chain_231: ChainSpec,
+        chain_312: ChainSpec,
+        valid_from: int,
+        description: str,
+    ) -> None:
+        if chain_312 != chain_231.reverse_complement():
+            raise ValueError(f"{tag}: the two chains must be reverse complements")
+        if valid_from < 1:
+            raise ValueError(f"{tag}: valid_from must be >= 1")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "chain_231", chain_231)
+        object.__setattr__(self, "chain_312", chain_312)
+        object.__setattr__(self, "valid_from", valid_from)
+        object.__setattr__(self, "description", description)
 
 
 _EVALUATORS: dict[str, Callable[[int], int]] = {

@@ -11,7 +11,7 @@ all run it.  Its pinned form looks only at occurrences that put the
 pattern's maximum at a given index: the ones that inserting a maximum in
 the generating tree of enumeration.py can create.
 
-Patterns of length 3 also have a Length3Rule, which gives the tree of
+Patterns of length 3 also have a _length3_rule, which gives the tree of
 enumeration.py the free slots for a new maximum in O(n), from the sides
 and the order of the two entries beside the pattern's 3.  Whether a word
 contains one of them is decided in O(n) too, by a kernel that the chain
@@ -25,20 +25,20 @@ the one generic path for every other length.
 """
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .perm import ParseError, Permutation, parse_permutation
 
 
-@dataclass(frozen=True, eq=False)
 class Pattern(Permutation):
     """A non-empty permutation used as a containment template."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, values: Iterable[int]) -> None:
+        super().__init__(values)
         if not self.values:
             raise ValueError("a pattern must have length >= 1")
 
@@ -189,17 +189,13 @@ def _free_at_cuts(
     return [0] + [i for i, top in enumerate(accumulate(view(word), max), 1) if top == i]
 
 
-class Length3Rule(NamedTuple):
-    """The O(n) insertion rule for one pattern of length 3: free_slots(word)
-    gives the slots 0..len(word) of any word at which inserting a new
-    maximum completes no occurrence."""
-
-    free_slots: Callable[[tuple[int, ...]], Iterable[int]]
-
-
 @lru_cache(maxsize=None)
-def _length3_rule(pattern: tuple[int, ...]) -> Length3Rule | None:
-    """The rule of a pattern of length 3, or None for any other length.
+def _length3_rule(
+    pattern: tuple[int, ...]
+) -> Callable[[tuple[int, ...]], Iterable[int]] | None:
+    """The O(n) insertion rule of a pattern of length 3, or None for any
+    other length.  Called on any word, the rule gives the slots
+    0..len(word) at which inserting a new maximum completes no occurrence.
 
     An inserted maximum can only play the pattern's 3.  The rule follows
     from the sides of the 3 that the other two entries sit on, and from
@@ -212,9 +208,9 @@ def _length3_rule(pattern: tuple[int, ...]) -> Length3Rule | None:
     first, second = (v for v in pattern if v != 3)
     rises = first < second
     if top == 1:
-        return Length3Rule(partial(_free_at_cuts, _complement if rises else _same))
+        return partial(_free_at_cuts, _complement if rises else _same)
     run = _free_after_run if top == 0 else _free_before_run
-    return Length3Rule(partial(run, operator.gt if rises else operator.lt))
+    return partial(run, operator.gt if rises else operator.lt)
 
 
 # The containment kernels of the patterns of length 3, as source for the

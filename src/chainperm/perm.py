@@ -10,7 +10,6 @@ sizes use comma-separated values ("10,3,1,...").  The parser accepts
 either form.
 """
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -18,8 +17,45 @@ class ParseError(ValueError):
     """Raised when permutation, pattern, or chain text cannot be parsed."""
 
 
-@dataclass(frozen=True, eq=False)
-class Permutation:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in its own __slots__, in the order of its
+    constructor's parameters, and its __init__ sets each one once through
+    object.__setattr__.  Equality and hashing compare the fields in order,
+    between objects of the same class; the repr lists them by keyword;
+    assigning or deleting any attribute raises AttributeError; and an
+    object pickles and copies as a call of its class on its fields.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class Permutation(Frozen):
     """A bijection on {1, ..., n}, held as its one-line word.
 
     >>> Permutation((2, 4, 1, 5, 3))(2)
@@ -28,14 +64,16 @@ class Permutation:
     '24153'
     """
 
+    __slots__ = ("values",)
+
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
         n = len(values)
         if sorted(values) != list(range(1, n + 1)):
             raise ValueError(f"{values!r} is not a permutation of 1..{n}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -59,6 +97,9 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.values!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.values,)
 
     def text(self) -> str:
         """Canonical text form: digit string up to size 9, else comma-separated."""

@@ -344,13 +344,31 @@ def test_reports_match_benchmark_references(capsys):
         assert out.encode() == (refs / ref).read_bytes(), argv
 
 
-def test_importing_the_cli_imports_no_multiprocessing():
-    # Only a pool needs multiprocessing; short runs should not pay for it.
-    result = run_child(
-        [sys.executable, "-c", "import sys, chainperm.cli; print('multiprocessing' in sys.modules)"]
+def test_start_up_imports_only_what_a_run_uses():
+    # No run needs dataclasses, nor the inspect it imports; only a JSON
+    # report needs json, and only a process pool signal and multiprocessing.
+    # pytest and hypothesis import dataclasses themselves, so each check
+    # runs in a fresh interpreter, next to a bare one for what the
+    # interpreter's own start-up imports.
+    deferred = ("dataclasses", "inspect", "json", "signal", "multiprocessing")
+    report = f"import sys; print(sorted(set({deferred!r}) & set(sys.modules)), file=sys.stderr)"
+    run_count = (
+        "import runpy, sys\n"
+        "sys.argv = ['chainperm', 'count', '--chain', '312:312', '--n-max', '1']\n"
+        "try:\n"
+        "    runpy.run_module('chainperm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
     )
-    assert result.returncode == 0, describe(result)
-    assert result.stdout == "False\n"
+    bare = run_child([sys.executable, "-c", report])
+    assert bare.returncode == 0, describe(bare)
+    imported = run_child([sys.executable, "-c", "import chainperm.cli\n" + report])
+    assert imported.returncode == 0, describe(imported)
+    assert imported.stderr == bare.stderr
+    counted = run_child([sys.executable, "-c", run_count + report])
+    assert counted.returncode == 0, describe(counted)
+    assert counted.stdout.splitlines()[1:] == ["1,312:312,1,,,true,1"]
+    assert counted.stderr == bare.stderr
 
 
 def test_importing_the_cli_compiles_no_matcher():

@@ -180,7 +180,7 @@ def test_insertion_rule_agrees_with_scan_oracle(pattern):
                 for i in range(m + 1)
                 if not scan_contains_through_max(word[:i] + (m + 1,) + word[i:], pattern, i)
             ]
-            assert list(rule.free_slots(word)) == free, word
+            assert list(rule(word)) == free, word
             children.extend(word[:i] + (m + 1,) + word[i:] for i in free)
         words = children
     assert len(words) == 4862
