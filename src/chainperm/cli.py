@@ -5,11 +5,11 @@ columns n, chain, brute_force, formula, tag, agree, refinement, written
 as CSV (default) or JSON.  Reports are deterministic: the same
 arguments produce byte-identical output regardless of --jobs.  Each
 subcommand returns its rows and its problem lines; main writes the
-report once, then the problem lines to stderr.  Each chain's generating
-tree is walked once, to n_max: count, verify and symmetry take their
-counts from _count_all, which asks for n_max first, so that the smaller
-n are lookups; structure takes the strong 312 avoiders of every size
-from one walk of the tree of 312:312.
+report once, then the problem lines to stderr.  Each chain is counted
+once, to n_max: count, verify and symmetry take their counts from
+_count_all, which asks for n_max first, so that the smaller n are
+lookups; structure takes the strong 312 avoiders of every size from one
+walk of the tree of 312:312.
 
   count      brute-force totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -128,7 +128,7 @@ def render_report(rows: list[VerificationRow], fmt: str) -> str:
 
 def _count_all(args: argparse.Namespace, chains) -> dict:
     """Every count_chain result of the chains for n = 1..n_max, keyed by
-    (n, chain).  Each chain is asked for n_max first, which walks its tree
+    (n, chain).  Each chain is asked for n_max first, which counts it
     once; the smaller sizes are then lookups in count_chain's memo."""
     return {
         (n, chain): count_chain(n, chain, jobs=args.jobs, force=args.force)

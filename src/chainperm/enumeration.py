@@ -1,4 +1,5 @@
-"""Enumeration of chain avoiders by a generating tree.
+"""Enumeration of chain avoiders by a generating tree, and of the chains
+of the paper by direct sums of blocks.
 
 Deleting the largest entry of a word that avoids the level-1 patterns
 leaves a word that still avoids them.  So every level-1 avoider of size
@@ -40,7 +41,8 @@ strong 231 avoider.  So the tree of the 312 side inserts the maximum,
 the tree of the 231 side inserts the minimum (the other values shift up
 by one), every child is decided in full, its square first, before it is
 pushed, and the nodes at depth m are exactly the chain avoiders of size
-m.
+m.  walk_chain_avoiders walks that tree; count_chain counts these chains
+without it, over direct sums of blocks (see the lemma below).
 
 Proof that a strong 312 avoider pi of size n stays strong when n is
 deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
@@ -85,14 +87,96 @@ The proof covers squares only: nothing is claimed for cubes and higher
 powers, so three-level chains such as 312:312:312 stay on the level-1
 tree, with every deeper level checked on every node.
 
-Large trees are counted in a process pool.  The parent grows the tree
-alone up to the middle depth n // 2 and counts the chain avoiders among
-its nodes, and each node of that depth is one shard, which counts the
-deeper sizes below it.  A shard starts from a tree node, not from a
-chain avoider, since a node that fails the deeper levels may still have
-descendants that pass them.  Shard results are merged by summation, so
-counts are identical for every worker count.  Sizes are capped at
-MAX_ENUMERATION_N unless the caller forces past it.
+Below, id_a is the increasing word of size a, delta_b the decreasing
+one, alpha + beta the direct sum (beta after and above alpha) and
+alpha - beta the skew sum (beta after and below alpha).  An occurrence
+of a sum-indecomposable pattern in alpha + beta lies inside alpha or
+inside beta: entries in both would split the pattern as a direct sum.
+
+Lemma (blocks).  A word is a strong 312 avoider exactly when it is a
+direct sum of blocks, each the point 1 or U(s, k) = id_(s-k) - delta_k
+with s/2 <= k <= s - 1.  A word is a strong 231 avoider exactly when it
+is a direct sum of blocks, each the point 1 or V(s, k) = delta_k -
+id_(s-k) with s/2 <= k <= s - 1.  So both sides have floor(s/2) blocks
+of each size s >= 2.
+- Steps 1 and 2 show that a strong 312 avoider is such a sum: its
+  blocks end in their own minimum, and a strong one of size s >= 2 is
+  U(s, a - 1) with s/2 <= a - 1 <= s - 1.
+- Conversely, U(s, k) avoids 312: a 312 is an increasing pair after a
+  larger entry, the increasing pairs of U(s, k) all lie in its first
+  part id_(s-k), and nothing before an entry of id_(s-k) is larger.
+  Its square avoids 312 by step 3.  So each block is strong, and by
+  step 1 so is their direct sum.
+- Reverse complement maps alpha + beta to rc(beta) + rc(alpha) and
+  alpha - beta to rc(beta) - rc(alpha), fixes id and delta, commutes
+  with powers and maps 312 to 231.  It maps U(s, k) to V(s, k), which
+  gives the 231 form.  Read on its own: in Av(231) every entry before
+  the maximum lies below every entry after it, or x, max, y would be a
+  231, so the blocks of the 231 side each start with their own maximum.
+- The first block of a direct sum holds the value 1.  On the 312 side
+  the 1 ends it, at position s; on the 231 side it sits at position
+  k + 1 of V(s, k), and at position 1 when the block is the point.
+
+Counting (see _sum_of_blocks).  Write each block as (a, b): id_a -
+delta_b on the 312 side and delta_b - id_a on the 231 side, with
+a >= 1, so the point is (1, 0), delta_s is (1, s - 1), and the other
+blocks of size s are (a, s - a) with 1 <= a <= s/2.  The chain's
+avoiders of size n are the sums of blocks of size n that avoid every
+other level-1 pattern sigma.  Split sigma = sigma_1 + ... + sigma_l into
+its sum-indecomposable components: one ends wherever a prefix of
+length j holds the values 1..j.
+
+- Containment.  An occurrence of sigma in pi = beta_1 + ... + beta_r
+  puts each component inside one block, and the blocks of sigma_1, ...,
+  sigma_l do not decrease, since each component lies left of the next.
+  So pi contains sigma exactly when sigma splits into runs of
+  consecutive components, placed in blocks in increasing order, each run
+  contained in its block: conversely such a placement is an occurrence,
+  since a later block lies after and above an earlier one.  A pattern
+  with a component that fits in no block is contained in no such sum,
+  and the program drops it; 312 (or 231) itself is one.
+- Greedy state.  Let f(q) be the largest j such that sigma_1 + ... +
+  sigma_j occurs in beta_1 + ... + beta_q.  Then f(q) = f(q-1) plus the
+  length of the longest run from sigma_(f(q-1)+1) that occurs in beta_q.
+  The greedy step finds an occurrence, so it gives at most f(q).  It
+  gives at least f(q): an occurrence of the first f(q) components puts
+  some run sigma_(j+1..f(q)) in beta_q and the first j in the earlier
+  blocks, so j <= f(q-1), and the run from f(q-1) + 1 to f(q) is part of
+  that run, so it occurs in beta_q too.  So the state f, one per
+  pattern, is exact, and pi avoids sigma exactly when f(r) < l.
+- Threshold rule.  A subsequence of block (a, b) takes a'' entries of
+  its increasing part and b'' of its decreasing part, so it is (a'', b'')
+  with a'' <= a and b'' <= b; when a'' = 0 < b'' it is also
+  (1, b'' - 1), still within the bounds, since a >= 1.  With a' >= 1 the
+  form (a', b') of a word is unique: the word has a' - 1 ascents and
+  size a' + b'.  So a run of the form (a', b') with a' >= 1 occurs in
+  block (a, b) exactly when a' <= a and b' <= b, and a run of no such
+  form occurs in no block.  A run of two or more components is a direct
+  sum, whose first entry lies below its last, while (a', b') with
+  b' >= 1 is a skew sum, whose first entry lies above its last; so the
+  run has the form only when b' = 0, that is when every component in it
+  is the point.  From the state, the step therefore passes up to a
+  points when the next component is the point, one component (a', b')
+  when it fits in (a, b), and nothing otherwise.
+
+The thresholds a' and b', and the lengths of point runs, are at most
+the length K of the longest pattern, so a step depends on a block (a, b)
+only through (min(a, K), min(b, K)): it is worked out once per state and
+such pair, and the blocks of a size that lead from a state to the same
+next state are grouped, with their number.  The program runs bottom-up
+over sizes: ways[m] holds, for each state, the sums of size m that
+complete no pattern when read from that state, and the split of size m
+adds, over each first block, ways[m - s] at the state that block leads
+to.  It builds no word and compiles nothing.
+
+The trees of the other chains, when large, are counted in a process
+pool.  The parent grows the tree alone up to the middle depth n // 2 and
+counts the chain avoiders among its nodes, and each node of that depth
+is one shard, which counts the deeper sizes below it.  A shard starts
+from a tree node, not from a chain avoider, since a node that fails the
+deeper levels may still have descendants that pass them.  Shard results
+are merged by summation, so counts are identical for every worker count.
+Sizes are capped at MAX_ENUMERATION_N unless the caller forces past it.
 """
 
 import itertools
@@ -173,6 +257,95 @@ def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
     if square in ((3, 1, 2), (2, 3, 1)) and square in levels[0]:
         return square
     return None
+
+
+def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> list[list[int]]:
+    """The split by the position of 1 for every size 1 to n of a chain
+    whose tree prunes at level 2, counted over direct sums of blocks (see
+    Counting in the module docstring).  up is True on the 312 side, whose
+    blocks are id_a - delta_b, and False on the 231 side, whose blocks are
+    delta_b - id_a."""
+    # Each pattern as the forms (a, b) of its components; a pattern with a
+    # component that fits in no block is dropped.
+    patterns = []
+    for pattern in level1:
+        forms, cut, top = [], 0, 0
+        for end, value in enumerate(pattern, 1):
+            top = max(top, value)
+            if top == end:  # pattern[cut:end] is a component
+                part, k = [v - cut for v in pattern[cut:end]], end - cut
+                a = k + 1 - part[0] if up else part[-1]
+                if up:
+                    block = [*range(part[0], k + 1), *range(part[0] - 1, 0, -1)]
+                else:
+                    block = [*range(k, a, -1), *range(1, a + 1)]
+                forms.append((a, k - a) if part == block else None)
+                cut = end
+        if None not in forms:
+            patterns.append(forms)
+    cap = max(map(len, level1))
+    steps: dict = {}
+
+    def step(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...] | None:
+        """The state after a block (a, b) capped at cap, or None when it
+        completes a pattern."""
+        key = state, a, b
+        if key not in steps:
+            # Past up to a points when the next component is the point, else
+            # past one component when it fits in (a, b).
+            state = tuple(
+                t + (len(list(itertools.takewhile((1, 0).__eq__, forms[t : t + a])))
+                     or (forms[t][0] <= a and forms[t][1] <= b))
+                for forms, t in zip(patterns, state)
+            )
+            done = any(t == len(forms) for forms, t in zip(patterns, state))
+            steps[key] = None if done else state
+        return steps[key]
+
+    # Each block as its size, its b and its (a, b) capped.
+    blocks = [
+        (s, s - a, min(a, cap), min(s - a, cap))
+        for s in range(1, n + 1)
+        for a in range(1, max(s // 2, 1) + 1)
+    ]
+    start = (0,) * len(patterns)
+    # For each state, the blocks of each size that lead from it to each next
+    # state, and the first block, by (its size, the position of 1 less one,
+    # the state it leads to): how many.
+    moves: dict = {}
+    first: dict = {}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        grouped: dict = {}
+        for s, b, *capped in blocks:
+            after = step(state, *capped)
+            if after is not None:
+                grouped[s, after] = grouped.get((s, after), 0) + 1
+                if state == start:
+                    key = s, s - 1 if up else b, after
+                    first[key] = first.get(key, 0) + 1
+        moves[state] = [(s, after, c) for (s, after), c in grouped.items()]
+        todo += [after for _, after in grouped]
+    # ways[m][state]: the sums of size m that complete no pattern from state.
+    ways = [dict.fromkeys(moves, 1)]
+    splits = []
+    for m in range(1, n + 1):
+        split = [0] * m
+        for (s, position, after), c in first.items():
+            if s > m:
+                break
+            split[position] += c * ways[m - s][after]
+        splits.append(split)
+        ways.append(
+            {
+                state: sum(c * ways[m - s][after] for s, after, c in move if s <= m)
+                for state, move in moves.items()
+            }
+        )
+    return splits
 
 
 def _grow(
@@ -267,10 +440,9 @@ def _count_below(
 # and takes 24 ms against 26 to 30 ms; at n = 11, still 42, it takes 84 ms
 # against 71 ms; S_8 (a level-1 pattern longer than 8 prunes nothing) has 24
 # and takes 32 ms against 28 to 31 ms.  The middle depth cannot tell n = 10
-# from n = 11, and the bound still sits between 14 and 24.  Every table chain
-# keeps 312 or 231 at level 1, and a pruned tree holds only some of the
-# level-1 avoiders, so pruned or not its tree has at most Catalan(4) = 14
-# middle nodes for n <= 9 and counts there never open a pool.
+# from n = 11, and the bound still sits between 14 and 24.  Only chains that
+# do not prune at level 2 have a tree to shard: the others, the table chains
+# among them, are counted over sums of blocks and never open a pool.
 MIN_POOL_FRONTIER = 20
 
 
@@ -286,19 +458,17 @@ def _pool_size(jobs: int, shards: int) -> int:
 
 def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
-    of the chain's tree.  The parent grows the tree alone up to the middle
+    of the chain's level-1 tree (for a chain whose tree does not prune at
+    level 2).  The parent grows the tree alone up to the middle
     depth n // 2 and counts the chain avoiders among those nodes; below
     each node of size n // 2, a shard counts the deeper sizes.  The
     shards start from tree nodes, not from chain avoiders: a node that
     fails the deeper levels can still have descendants that pass them."""
     half = n // 2
     prepared = _prepared_chain(level_values)
-    # The tree is level 1 of the chain, unless it prunes at level 2; a
-    # chain of one level is its own level 1.
-    tree = prepared if _pruned_square(prepared) else _prepared_chain(level_values[:1])
-    top = list(_grow([()], 1, half, tree))
+    top = list(_grow([()], 1, half, _prepared_chain(level_values[:1])))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, top if tree is prepared else filter(prepared.deeper_predicate, top))
+    splits = _split(1, half, filter(prepared.deeper_predicate, top))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
         shards = [_count_below(half + 1, n, level_values, frontier)]
@@ -330,20 +500,29 @@ _COUNTS: dict[ChainSpec, tuple[CountRefinement, ...]] = {}
 def count_chain(
     n: int, chain: ChainSpec, *, jobs: int = 1, force: bool = False
 ) -> CountRefinement:
-    """Count the chain avoiders in S_n by walking the chain's generating tree.
+    """Count the chain avoiders in S_n.
 
-    One walk to n counts every size from 1 to n, and those counts are kept
-    per chain for the life of the process: a later call for a size up to
-    n is a lookup, and one for a larger size walks again and replaces
-    them.  jobs > 1 allows a process pool for large trees (see
-    MIN_POOL_FRONTIER).  Results do not depend on the worker count.
+    A chain whose tree prunes at level 2, every chain of the formula table
+    among them, is counted over direct sums of blocks (see _sum_of_blocks);
+    every other chain by walking its generating tree.  One count to n
+    counts every size from 1 to n, and those counts are kept per chain for
+    the life of the process: a later call for a size up to n is a lookup,
+    and one for a larger size counts again and replaces them.  jobs > 1
+    allows a process pool for large trees (see MIN_POOL_FRONTIER); it does
+    not apply to the chains counted over blocks, which never open a pool.
+    Results do not depend on the worker count.
     """
     _check_size(n, force)
     if n == 0:
         return CountRefinement(0, chain, 1, ())
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
-        splits = _walk(n, chain.level_values(), jobs)
+        level_values = chain.level_values()
+        square = _pruned_square(_prepared_chain(level_values))
+        if square is None:
+            splits = _walk(n, level_values, jobs)
+        else:
+            splits = _sum_of_blocks(n, level_values[0], square == (3, 1, 2))
         counts = tuple(
             CountRefinement(size, chain, sum(split), tuple(split))
             for size, split in enumerate(splits, start=1)

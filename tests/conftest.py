@@ -51,6 +51,20 @@ def root_walks(monkeypatch):
     return roots
 
 
+@pytest.fixture
+def block_counts(monkeypatch):
+    """The counts over sums of blocks, one entry each."""
+    runs = []
+    count = enumeration._sum_of_blocks
+
+    def spy(*args):
+        runs.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(enumeration, "_sum_of_blocks", spy)
+    return runs
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes = {}
     for status in ("passed", "failed", "error"):

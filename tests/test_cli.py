@@ -322,11 +322,12 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
     assert counted == []
 
 
-def test_verify_walks_each_chain_once(capsys, root_walks):
+def test_verify_counts_each_chain_once(capsys, root_walks, block_counts):
     code, out, err = run_cli(capsys, "verify", "--tags", "T41", "--n-max", "9")
     assert code == 0
     assert len(parse_csv(out)) == 18
-    assert len(root_walks) == 2
+    assert len(block_counts) == 2
+    assert root_walks == []
 
 
 def test_reports_match_benchmark_references(capsys):
@@ -383,21 +384,20 @@ def test_importing_the_cli_compiles_no_matcher():
     assert result.stdout == "0 0\n"
 
 
-def test_table_chains_compile_two_predicates():
-    # The 18 table chains check the square for 312 or for 231 beyond
-    # level 1, so counting them all compiles those two deeper predicates
-    # and nothing else.
+def test_table_chains_compile_nothing():
+    # The 18 table chains are counted over sums of blocks, which builds no
+    # word: counting them all to n = 8 compiles no search and no predicate.
     code = (
-        "import chainperm as cp, chainperm.chains as c\n"
+        "import chainperm as cp, chainperm.chains as c, chainperm.patterns as p\n"
         "chains = [ch for f in cp.formula_table() for ch in (f.chain_231, f.chain_312)]\n"
         "for chain in chains:\n"
-        "    cp.count_chain(6, chain)\n"
-        "deeper = {c._prepared_chain(ch.level_values()).deeper for ch in chains}\n"
-        "print(len(chains), sorted(deeper), c._compile_predicate.cache_info().currsize)"
+        "    cp.count_chain(8, chain)\n"
+        "print(len(chains), p._matcher.cache_info().currsize,"
+        " c._compile_predicate.cache_info().currsize)"
     )
     result = run_child([sys.executable, "-c", code])
     assert result.returncode == 0, describe(result)
-    assert result.stdout == "18 [((1, (2, 3, 1)),), ((1, (3, 1, 2)),)] 2\n"
+    assert result.stdout == "18 0 0\n"
 
 
 def test_deep_chain_compiles_one_predicate():

@@ -14,6 +14,7 @@ from chainperm import (
     avoids,
     chain_avoids,
     count_chain,
+    evaluate,
     formula_table,
     generate_sn,
     identity,
@@ -114,7 +115,7 @@ def test_refinement_sums_to_total():
             assert len(ref.by_position_of_one) == n
 
 
-def test_count_agrees_with_scan_oracle(root_walks):
+def test_count_agrees_with_scan_oracle(root_walks, block_counts):
     for chain in TABLE_CHAINS:
         count_chain(8, chain)
         levels = chain.level_values()
@@ -122,7 +123,8 @@ def test_count_agrees_with_scan_oracle(root_walks):
             ref = count_chain(n, chain)
             assert (ref.n, ref.chain) == (n, chain)
             assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels), (chain, n)
-    assert len(root_walks) == len(TABLE_CHAINS)
+    assert len(block_counts) == len(TABLE_CHAINS)
+    assert root_walks == []
 
 
 def test_tree_matches_brute_force_for_table_chains():
@@ -150,6 +152,27 @@ def test_table_chains_prune_and_match_the_level1_walk():
         count_chain(12, chain)
         got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
         assert got == splits_by_size(level1_walk(chain, 12), 12), chain
+
+
+def test_block_counts_match_the_pruned_tree_to_14():
+    for chain in TABLE_CHAINS:
+        count_chain(14, chain)
+        got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
+        assert got == splits_by_size(list(walk_chain_avoiders(14, chain)), 14), chain
+
+
+def test_block_counts_hold_the_closed_forms_far_out():
+    # At n = 60 no tree could be walked: T34 alone has 2^59 avoiders per
+    # side.  The T31 claim 2n - 3 fails here too; the count is n + 1.
+    n = 60
+    for formula in formula_table():
+        refs = [count_chain(n, chain, force=True) for chain in (formula.chain_231, formula.chain_312)]
+        assert refs[0].total == refs[1].total, formula.tag
+        if formula.tag == "T31":
+            assert refs[0].total == n + 1
+            assert evaluate(formula, n) == 2 * n - 3
+        else:
+            assert refs[0].total == evaluate(formula, n), formula.tag
 
 
 def test_only_two_level_strong_chains_prune():
@@ -221,6 +244,8 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
 @example((2, 3, 1), [(2, 1, 4, 3), (3, 1, 2)], 2, 8)
 @example((3, 1, 2), [(1, 2)], 0, 5)
 @example((2, 3, 1), [(1,)], 1, 3)
+@example((3, 1, 2), [(1, 3, 2, 4, 5)], 1, 9)
+@example((2, 3, 1), [(1, 4, 2, 3, 5), (2, 1, 3)], 0, 9)
 def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where, n):
     enumeration._COUNTS.clear()
     chain = _chain_of([others[:where] + [square] + others[where:], [square]])
@@ -233,16 +258,17 @@ def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where,
     assert got == splits_by_size(oracle, n)
 
 
-def test_counts_are_kept_per_chain(root_walks):
+def test_counts_are_kept_per_chain(root_walks, block_counts):
     chain = parse_chain("312,3214:312")
     at_6 = count_chain(6, chain)
     assert count_chain(4, parse_chain("312,3214:312"), jobs=2).total == 8
-    assert len(root_walks) == 1
+    assert len(block_counts) == 1
     assert count_chain(8, chain).total == 71
-    assert len(root_walks) == 2
+    assert len(block_counts) == 2
     assert count_chain(6, chain) == at_6
     assert totals(chain, 8) == [1, 2, 4, 8, 14, 25, 42, 71]
-    assert len(root_walks) == 2
+    assert len(block_counts) == 2
+    assert root_walks == []
 
 
 def test_count_empty_size():
@@ -275,7 +301,7 @@ def spy_on_pools(monkeypatch):
 def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
     opened = spy_on_pools(monkeypatch)
-    for text, n_max in (("312,3214:312", 9), ("231,1432:231", 9), ("13245:2143:312", 7)):
+    for text, n_max in (("312,3214", 9), ("231,1432", 9), ("13245:2143:312", 7)):
         chain = parse_chain(text)
         count_chain(n_max, chain, jobs=1)
         serial = [count_chain(n, chain) for n in range(1, n_max + 1)]
@@ -302,11 +328,14 @@ def test_pool_size_is_capped(monkeypatch):
     assert enumeration._pool_size(5000, 10**6) == 1
 
 
-def test_table_chains_open_no_pool_up_to_8(monkeypatch):
+def test_qualifying_chains_open_no_pool(monkeypatch):
+    # Chains that prune at level 2 are counted over sums of blocks, not
+    # on a tree, so jobs does not apply to them even where every tree
+    # would be sharded.
+    monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
     opened = spy_on_pools(monkeypatch)
-    for chain in TABLE_CHAINS:
-        for n in range(1, 9):
-            count_chain(n, chain, jobs=8)
+    for chain in TABLE_CHAINS + [parse_chain("312:312"), parse_chain("2143,231:231")]:
+        count_chain(12, chain, jobs=8)
     assert opened == []
 
 
