@@ -12,14 +12,14 @@ the digit form only (length at most 9); the comma form of a single long
 permutation would collide with the pattern separator.
 
 Each chain is decided by one predicate, written out as source and
-compiled on first use (see _compile_predicate): chain_avoids and
+compiled on first use (see _chain_predicate): chain_avoids and
 strongly_avoids run it on all the levels, and the generating tree of
 enumeration.py on the levels from 2 on, before its pinned level-1
 searches on every child it decides in full, and after them on the
 nodes it still grows.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .patterns import _KERNELS, Pattern, ParseError, _matcher, parse_pattern
@@ -165,51 +165,19 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     return namespace["avoids"]
 
 
-class PreparedChain:
-    """A chain resolved to its checks, once per chain (see _prepared_chain).
-
-    levels holds the patterns of each level in chain order, for the tree
-    walk.  checks holds every pattern with its depth in the order the chain
-    predicate runs them, cheapest first; deeper holds those of levels 2
-    on, in the same order, for words whose level 1 is already settled.
-    predicate and deeper_predicate are their compiled predicates, each
-    compiled on first use and then kept in the instance's __dict__.  No
-    attribute can be assigned; being one per chain, instances compare by
-    identity.
-    """
-
-    levels: LevelValues
-    checks: tuple[Check, ...]
-    deeper: tuple[Check, ...]
-
-    __setattr__ = Frozen.__setattr__
-    __delattr__ = Frozen.__delattr__
-
-    def __init__(
-        self, levels: LevelValues, checks: tuple[Check, ...], deeper: tuple[Check, ...]
-    ) -> None:
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "deeper", deeper)
-
-    @cached_property
-    def predicate(self) -> Predicate:
-        return _compile_predicate(self.checks)
-
-    @cached_property
-    def deeper_predicate(self) -> Predicate:
-        return _compile_predicate(self.deeper)
+def _checks(level_values: LevelValues, start: int = 0) -> tuple[Check, ...]:
+    """Every pattern of the levels from start + 1 on with its depth, in the
+    order the chain predicate runs them, cheapest first (see _cost)."""
+    levels = enumerate(level_values[start:], start)
+    return tuple(sorted(((depth, p) for depth, level in levels for p in level), key=_cost))
 
 
 @lru_cache(maxsize=None)
-def _prepared_chain(level_values: LevelValues) -> PreparedChain:
-    """Order the checks of a chain, once per chain."""
-    checks = tuple(
-        sorted(
-            ((depth, p) for depth, level in enumerate(level_values) for p in level), key=_cost
-        )
-    )
-    return PreparedChain(level_values, checks, tuple(c for c in checks if c[0]))
+def _chain_predicate(level_values: LevelValues, start: int = 0) -> Predicate:
+    """The compiled predicate of the levels from start + 1 on, once per
+    chain and start: start 0 decides the whole chain, start 1 the deeper
+    levels of a word whose level 1 is already settled."""
+    return _compile_predicate(_checks(level_values, start))
 
 
 def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
@@ -219,7 +187,7 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    return _prepared_chain(chain.level_values()).predicate(pi.values)
+    return _chain_predicate(chain.level_values())(pi.values)
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
@@ -227,4 +195,4 @@ def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:
 
     Equivalent to chain_avoids with the chain (tau : tau).
     """
-    return _prepared_chain(((tau.values,), (tau.values,))).predicate(pi.values)
+    return _chain_predicate(((tau.values,), (tau.values,)))(pi.values)

@@ -39,7 +39,7 @@ import sys
 # strongly_avoids is not called here, but perfbench/tracing.py wraps it by
 # this name.
 from .chains import parse_chain, strongly_avoids  # noqa: F401
-from .enumeration import MAX_ENUMERATION_N, count_chain, walk_chain_avoiders
+from .enumeration import count_chain, walk_chain_avoiders
 from .formulas import evaluate, formula_by_tag, formula_table
 from .perm import Frozen, Permutation
 from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimodal_forms
@@ -306,13 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.n_max > MAX_ENUMERATION_N and not args.force:
-        print(
-            f"error: --n-max {args.n_max} is above the supported enumeration bound "
-            f"{MAX_ENUMERATION_N}; pass --force to run anyway",
-            file=sys.stderr,
-        )
         return 2
     try:
         # --out is opened before any counting, so that an unwritable path

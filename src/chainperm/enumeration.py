@@ -183,7 +183,7 @@ import itertools
 import os
 from typing import Iterable, Iterator
 
-from .chains import ChainSpec, LevelValues, PreparedChain, _prepared_chain
+from .chains import ChainSpec, LevelValues, _chain_predicate
 from .patterns import _complement, _length3_rule, _matcher
 from .perm import Frozen, Permutation
 
@@ -234,7 +234,7 @@ class CountRefinement(Frozen):
         self, n: int, chain: ChainSpec, total: int, by_position_of_one: Iterable[int]
     ) -> None:
         by_position_of_one = tuple(by_position_of_one)
-        if len(by_position_of_one) != (n if n else 0):
+        if len(by_position_of_one) != n:
             raise ValueError("refinement vector must have one entry per position")
         if any(c < 0 for c in by_position_of_one):
             raise ValueError("refinement entries must be >= 0")
@@ -246,11 +246,10 @@ class CountRefinement(Frozen):
         object.__setattr__(self, "by_position_of_one", by_position_of_one)
 
 
-def _pruned_square(prepared: PreparedChain) -> tuple[int, ...] | None:
+def _pruned_square(levels: LevelValues) -> tuple[int, ...] | None:
     """312 or 231 when the chain's tree prunes at level 2 (see the module
     docstring): the chain has exactly two levels, the second is that
     pattern alone and the first contains it.  None for every other chain."""
-    levels = prepared.levels
     if len(levels) != 2 or len(levels[1]) != 1:
         return None
     square = levels[1][0]
@@ -349,9 +348,9 @@ def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> lis
 
 
 def _grow(
-    nodes: Iterable[tuple[int, ...]], lo: int, n: int, prepared: PreparedChain
+    nodes: Iterable[tuple[int, ...]], n: int, level_values: LevelValues
 ) -> Iterator[tuple[int, ...]]:
-    """The chain avoiders of every size from lo to n grown from the given
+    """The chain avoiders of every size up to n grown from the given
     nodes, which must be tree nodes of size at most n and are not yielded
     themselves.  A child is built only at the slots that every length-3
     rule leaves free.  Each yielded word comes before the words grown
@@ -368,12 +367,12 @@ def _grow(
     deeper levels, then the pinned level-1 searches.  Any other child is
     pushed on level 1 alone and yielded only if it passes the deeper
     levels."""
-    square = _pruned_square(prepared)
+    square = _pruned_square(level_values)
     minimum = square == (2, 3, 1)
-    level1 = [tuple(_complement(p)) if minimum else p for p in prepared.levels[0]]
+    level1 = [tuple(_complement(p)) if minimum else p for p in level_values[0]]
     rules = [rule for rule in map(_length3_rule, level1) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
-    deeper = prepared.deeper_predicate if prepared.deeper else None
+    deeper = _chain_predicate(level_values, 1) if len(level_values) > 1 else None
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -385,7 +384,6 @@ def _grow(
         # decided in full, and after them on one that is pushed.
         first = deeper if leaf or square is not None else None
         last = deeper if first is None else None
-        keep = size >= lo
         if minimum:
             seen = tuple(map(size.__sub__, word))
             word, new = tuple(map((1).__add__, word)), (1,)
@@ -408,7 +406,7 @@ def _grow(
             else:
                 if not leaf:
                     stack.append(child)
-                if keep and (last is None or last(child)):
+                if last is None or last(child):
                     yield child
 
 
@@ -425,10 +423,10 @@ def _count_below(
     lo: int, n: int, level_values: LevelValues, nodes: Iterable[tuple[int, ...]]
 ) -> list[list[int]]:
     """One shard: the split of the chain avoiders of each size from lo to n
-    below the given tree nodes.  A shard names its chain by its
-    patterns, since the compiled searches of its prepared form do not
-    pickle; a forked worker finds that form in the cache it inherits."""
-    return _split(lo, n, _grow(nodes, lo, n, _prepared_chain(level_values)))
+    below the given tree nodes, which have size lo - 1.  A shard names its
+    chain by its level values, which pickle, where its compiled predicates
+    do not; a forked worker finds them in the cache it inherits."""
+    return _split(lo, n, _grow(nodes, n, level_values))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -465,10 +463,9 @@ def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     shards start from tree nodes, not from chain avoiders: a node that
     fails the deeper levels can still have descendants that pass them."""
     half = n // 2
-    prepared = _prepared_chain(level_values)
-    top = list(_grow([()], 1, half, _prepared_chain(level_values[:1])))
+    top = list(_grow([()], half, level_values[:1]))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, filter(prepared.deeper_predicate, top))
+    splits = _split(1, half, filter(_chain_predicate(level_values, 1), top))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
         shards = [_count_below(half + 1, n, level_values, frontier)]
@@ -518,7 +515,7 @@ def count_chain(
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
         level_values = chain.level_values()
-        square = _pruned_square(_prepared_chain(level_values))
+        square = _pruned_square(level_values)
         if square is None:
             splits = _walk(n, level_values, jobs)
         else:
@@ -545,6 +542,6 @@ def walk_chain_avoiders(
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    grown = _grow([()], 1, n, _prepared_chain(chain.level_values()))
+    grown = _grow([()], n, chain.level_values())
     return itertools.chain([()], grown)
 

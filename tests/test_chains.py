@@ -16,7 +16,7 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.chains import _prepared_chain
+from chainperm.chains import _checks
 from helpers import PATTERNS_3, all_words, scan_chain_avoids
 from strategies import chain_levels
 
@@ -141,9 +141,10 @@ def test_chain_avoids_agrees_with_scan_oracle_on_random_chains(levels, word):
 
 def test_checks_run_cheapest_first():
     def order(text):
-        prepared = _prepared_chain(parse_chain(text).level_values())
-        assert prepared.deeper == tuple(c for c in prepared.checks if c[0])
-        return [(depth, "".join(map(str, p))) for depth, p in prepared.checks]
+        level_values = parse_chain(text).level_values()
+        checks = _checks(level_values)
+        assert _checks(level_values, 1) == tuple(c for c in checks if c[0])
+        return [(depth, "".join(map(str, p))) for depth, p in checks]
 
     # Every length-3 rule, then the searches by length, then by depth.
     assert order("13245:2143:312") == [(2, "312"), (1, "2143"), (0, "13245")]

@@ -1,5 +1,6 @@
 """Command line: report content, formats, exit codes, determinism."""
 
+import ast
 import csv
 import importlib.util
 import io
@@ -137,6 +138,23 @@ def test_rejects_bad_sizes_and_jobs(capsys):
     code, _, err = run_cli(capsys, "count", "--chain", "312", "--n-max", "20")
     assert code == 2
     assert "--force" in err
+
+
+def test_every_subcommand_refuses_sizes_above_the_cap(capsys):
+    # The cap is enforced by the enumeration alone; main turns its refusal
+    # into one error line, as it does for any other failed run.
+    for argv in (
+        ("count", "--chain", "312"),
+        ("verify", "--tags", "all"),
+        ("symmetry",),
+        ("structure",),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n-max", "15")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "--force" in err, argv
+    code, _, _ = run_cli(capsys, "verify", "--tags", "T41", "--n-max", "15", "--force")
+    assert code == 0
 
 
 def test_out_writes_identical_report(capsys, tmp_path):
@@ -427,6 +445,22 @@ def test_tracer_names_exist_in_cli():
     names = [*tracing.SPANNED, *tracing.COUNTED]
     assert names
     assert [name for name in names if not hasattr(chainperm.cli, name)] == []
+
+
+def test_probe_names_exist_in_chainperm():
+    # perfbench/probe.py calls these chainperm names, and count_chain with
+    # jobs=, on every perfbench/run.py --trace 1 run.
+    tree = ast.parse((PYPROJECT.parent / "perfbench" / "probe.py").read_text())
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cp"
+    }
+    assert "count_chain" in names
+    assert sorted(name for name in names if not hasattr(chainperm, name)) == []
+    assert chainperm.count_chain(3, chainperm.parse_chain("312"), jobs=2).total == 5
 
 
 def test_tracer_sees_every_traced_name_called():

@@ -20,7 +20,7 @@ from chainperm import (
     identity,
     parse_chain,
 )
-from chainperm.chains import _prepared_chain
+from chainperm.chains import _chain_predicate
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
 from helpers import all_words, scan_chain_avoids, scan_count_chain
@@ -38,7 +38,7 @@ def level1_walk(chain, n):
     """The chain avoiders of sizes 0 to n found on the level-1 tree, with
     every deeper level checked on every node: the tree a chain that does
     not prune at level 2 walks."""
-    avoids_deeper = _prepared_chain(chain.level_values()).deeper_predicate
+    avoids_deeper = _chain_predicate(chain.level_values(), 1)
     level1 = ChainSpec(chain.levels[:1])
     return [w for w in walk_chain_avoiders(n, level1) if avoids_deeper(w)]
 
@@ -148,7 +148,7 @@ def test_tree_matches_brute_force_for_table_chains():
 def test_table_chains_prune_and_match_the_level1_walk():
     for chain in TABLE_CHAINS:
         square = chain.levels[1][0].values
-        assert enumeration._pruned_square(_prepared_chain(chain.level_values())) == square
+        assert enumeration._pruned_square(chain.level_values()) == square
         count_chain(12, chain)
         got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
         assert got == splits_by_size(level1_walk(chain, 12), 12), chain
@@ -177,7 +177,7 @@ def test_block_counts_hold_the_closed_forms_far_out():
 
 def test_only_two_level_strong_chains_prune():
     def square(text):
-        return enumeration._pruned_square(_prepared_chain(parse_chain(text).level_values()))
+        return enumeration._pruned_square(parse_chain(text).level_values())
 
     assert square("312:312") == (3, 1, 2)
     assert square("2143,312:312") == (3, 1, 2)
@@ -249,7 +249,7 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
 def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where, n):
     enumeration._COUNTS.clear()
     chain = _chain_of([others[:where] + [square] + others[where:], [square]])
-    assert enumeration._pruned_square(_prepared_chain(chain.level_values())) == square
+    assert enumeration._pruned_square(chain.level_values()) == square
     oracle = level1_walk(chain, n)
     walked = list(walk_chain_avoiders(n, chain))
     assert sorted(walked) == sorted(oracle)
