@@ -23,22 +23,26 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .patterns import _KERNELS, Pattern, ParseError, _matcher, parse_pattern
-from .perm import Frozen, Permutation
+from .perm import Frozen, Permutation, _word_text
 
-Level = tuple[Pattern, ...]
 LevelValues = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class ChainSpec(Frozen):
-    """An ordered, non-empty sequence of non-empty pattern levels."""
+    """An ordered, non-empty sequence of non-empty pattern levels, held as
+    the value words of the patterns, grouped by level.
+
+    >>> parse_chain("312,123:312").levels
+    (((3, 1, 2), (1, 2, 3)), ((3, 1, 2),))
+    """
 
     __slots__ = ("levels",)
 
-    levels: tuple[Level, ...]
+    levels: LevelValues
 
-    def __init__(self, levels: Iterable[Iterable[Permutation]]) -> None:
+    def __init__(self, levels: Iterable[Iterable[Permutation | Iterable[int]]]) -> None:
         levels = tuple(
-            tuple(p if isinstance(p, Pattern) else Pattern(p.values) for p in level)
+            tuple(Pattern(p.values if isinstance(p, Permutation) else p).values for p in level)
             for level in levels
         )
         if not levels:
@@ -55,11 +59,7 @@ class ChainSpec(Frozen):
 
     def text(self) -> str:
         """Canonical chain text, e.g. '231,1432:231'."""
-        return ":".join(",".join(p.text() for p in level) for level in self.levels)
-
-    def level_values(self) -> LevelValues:
-        """The raw value words of every pattern, grouped by level."""
-        return tuple(tuple(p.values for p in level) for level in self.levels)
+        return ":".join(",".join(map(_word_text, level)) for level in self.levels)
 
     def reverse_complement(self) -> "ChainSpec":
         """The chain with every pattern replaced by its reverse complement.
@@ -68,10 +68,7 @@ class ChainSpec(Frozen):
         reverse complement commutes with taking powers.
         """
         return ChainSpec(
-            tuple(
-                tuple(Pattern(p.reverse_complement().values) for p in level)
-                for level in self.levels
-            )
+            (tuple(len(p) + 1 - v for v in reversed(p)) for p in level) for level in self.levels
         )
 
 
@@ -165,19 +162,19 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     return namespace["avoids"]
 
 
-def _checks(level_values: LevelValues, start: int = 0) -> tuple[Check, ...]:
+def _checks(levels: LevelValues, start: int = 0) -> tuple[Check, ...]:
     """Every pattern of the levels from start + 1 on with its depth, in the
     order the chain predicate runs them, cheapest first (see _cost)."""
-    levels = enumerate(level_values[start:], start)
-    return tuple(sorted(((depth, p) for depth, level in levels for p in level), key=_cost))
+    numbered = enumerate(levels[start:], start)
+    return tuple(sorted(((depth, p) for depth, level in numbered for p in level), key=_cost))
 
 
 @lru_cache(maxsize=None)
-def _chain_predicate(level_values: LevelValues, start: int = 0) -> Predicate:
+def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     """The compiled predicate of the levels from start + 1 on, once per
     chain and start: start 0 decides the whole chain, start 1 the deeper
     levels of a word whose level 1 is already settled."""
-    return _compile_predicate(_checks(level_values, start))
+    return _compile_predicate(_checks(levels, start))
 
 
 def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
@@ -187,7 +184,7 @@ def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:
     >>> chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     True
     """
-    return _chain_predicate(chain.level_values())(pi.values)
+    return _chain_predicate(chain.levels)(pi.values)
 
 
 def strongly_avoids(pi: Permutation, tau: Permutation) -> bool:

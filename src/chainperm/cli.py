@@ -253,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for the enumeration (default: all cores)",
+        help="worker processes (default: all cores); only count of a chain whose "
+        "tree is walked can open a pool, so verify, symmetry and structure run "
+        "the same with any value",
     )
     common.add_argument(
         "--force",

@@ -207,20 +207,16 @@ def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
     ['123', '132', '213', '231', '312', '321']
     """
     _check_size(n, force)
-
-    def gen() -> Iterator[Permutation]:
-        for word in itertools.permutations(range(1, n + 1)):
-            yield Permutation(word)
-
-    return gen()
+    return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
 class CountRefinement(Frozen):
     """A chain-avoider count together with its split by the position of 1.
 
     by_position_of_one[i - 1] counts the avoiders whose value 1 sits at
-    position i, so the entries add up to the total (the split is empty
-    only for n = 0, where no position holds a 1).
+    position i, so the entries add up to the total.  The split is empty
+    only for n = 0, where no position holds a 1; the empty word is then
+    the one avoider, so the total is 1.
     """
 
     __slots__ = ("n", "chain", "total", "by_position_of_one")
@@ -238,8 +234,8 @@ class CountRefinement(Frozen):
             raise ValueError("refinement vector must have one entry per position")
         if any(c < 0 for c in by_position_of_one):
             raise ValueError("refinement entries must be >= 0")
-        if n >= 1 and total != sum(by_position_of_one):
-            raise ValueError("refinement entries must add up to the total")
+        if total != (sum(by_position_of_one) if n else 1):
+            raise ValueError("refinement entries must add up to the total, 1 for n = 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "total", total)
@@ -348,7 +344,7 @@ def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> lis
 
 
 def _grow(
-    nodes: Iterable[tuple[int, ...]], n: int, level_values: LevelValues
+    nodes: Iterable[tuple[int, ...]], n: int, levels: LevelValues
 ) -> Iterator[tuple[int, ...]]:
     """The chain avoiders of every size up to n grown from the given
     nodes, which must be tree nodes of size at most n and are not yielded
@@ -367,12 +363,12 @@ def _grow(
     deeper levels, then the pinned level-1 searches.  Any other child is
     pushed on level 1 alone and yielded only if it passes the deeper
     levels."""
-    square = _pruned_square(level_values)
+    square = _pruned_square(levels)
     minimum = square == (2, 3, 1)
-    level1 = [tuple(_complement(p)) if minimum else p for p in level_values[0]]
+    level1 = [tuple(_complement(p)) if minimum else p for p in levels[0]]
     rules = [rule for rule in map(_length3_rule, level1) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
-    deeper = _chain_predicate(level_values, 1) if len(level_values) > 1 else None
+    deeper = _chain_predicate(levels, 1) if len(levels) > 1 else None
     stack = list(nodes)
     while stack:
         word = stack.pop()
@@ -420,13 +416,13 @@ def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]
 
 
 def _count_below(
-    lo: int, n: int, level_values: LevelValues, nodes: Iterable[tuple[int, ...]]
+    lo: int, n: int, levels: LevelValues, nodes: Iterable[tuple[int, ...]]
 ) -> list[list[int]]:
     """One shard: the split of the chain avoiders of each size from lo to n
     below the given tree nodes, which have size lo - 1.  A shard names its
     chain by its level values, which pickle, where its compiled predicates
     do not; a forked worker finds them in the cache it inherits."""
-    return _split(lo, n, _grow(nodes, n, level_values))
+    return _split(lo, n, _grow(nodes, n, levels))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -454,7 +450,7 @@ def _pool_size(jobs: int, shards: int) -> int:
     return max(1, min(jobs, shards, cpus))
 
 
-def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
+def _walk(n: int, levels: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
     of the chain's level-1 tree (for a chain whose tree does not prune at
     level 2).  The parent grows the tree alone up to the middle
@@ -463,19 +459,19 @@ def _walk(n: int, level_values: LevelValues, jobs: int) -> list[list[int]]:
     shards start from tree nodes, not from chain avoiders: a node that
     fails the deeper levels can still have descendants that pass them."""
     half = n // 2
-    top = list(_grow([()], half, level_values[:1]))
+    top = list(_grow([()], half, levels[:1]))
     frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, filter(_chain_predicate(level_values, 1), top))
+    splits = _split(1, half, filter(_chain_predicate(levels, 1), top))
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        shards = [_count_below(half + 1, n, level_values, frontier)]
+        shards = [_count_below(half + 1, n, levels, frontier)]
     else:
         # Imported only where a pool opens, so that the many runs that open
         # none do not pay for the imports.
         import multiprocessing
         import signal
 
-        tasks = [(half + 1, n, level_values, (node,)) for node in frontier]
+        tasks = [(half + 1, n, levels, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
         # interrupts only this process, whose leaving the with block
         # terminates them.
@@ -514,12 +510,11 @@ def count_chain(
         return CountRefinement(0, chain, 1, ())
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
-        level_values = chain.level_values()
-        square = _pruned_square(level_values)
+        square = _pruned_square(chain.levels)
         if square is None:
-            splits = _walk(n, level_values, jobs)
+            splits = _walk(n, chain.levels, jobs)
         else:
-            splits = _sum_of_blocks(n, level_values[0], square == (3, 1, 2))
+            splits = _sum_of_blocks(n, chain.levels[0], square == (3, 1, 2))
         counts = tuple(
             CountRefinement(size, chain, sum(split), tuple(split))
             for size, split in enumerate(splits, start=1)
@@ -542,6 +537,6 @@ def walk_chain_avoiders(
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    grown = _grow([()], n, chain.level_values())
+    grown = _grow([()], n, chain.levels)
     return itertools.chain([()], grown)
 

@@ -55,6 +55,11 @@ class Frozen:
         return type(self), self._astuple()
 
 
+def _word_text(values: tuple[int, ...]) -> str:
+    """The text form of a word (see the module docstring)."""
+    return ("" if len(values) <= 9 else ",").join(map(str, values))
+
+
 class Permutation(Frozen):
     """A bijection on {1, ..., n}, held as its one-line word.
 
@@ -103,9 +108,7 @@ class Permutation(Frozen):
 
     def text(self) -> str:
         """Canonical text form: digit string up to size 9, else comma-separated."""
-        if len(self.values) <= 9:
-            return "".join(str(v) for v in self.values)
-        return ",".join(str(v) for v in self.values)
+        return _word_text(self.values)
 
     def compose(self, inner: "Permutation") -> "Permutation":
         """The product self o inner, mapping i to self(inner(i)).

@@ -1,5 +1,9 @@
 """Chain parsing and the chain-avoidance predicate."""
 
+import copy
+import itertools
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +20,7 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.chains import _checks
+from chainperm.chains import _chain_predicate, _checks, _compile_predicate
 from helpers import PATTERNS_3, all_words, scan_chain_avoids
 from strategies import chain_levels
 
@@ -54,20 +58,56 @@ def test_chainspec_validation():
         ChainSpec(())
     with pytest.raises(ValueError):
         ChainSpec(((),))
+    with pytest.raises(ValueError, match="a pattern must have length >= 1"):
+        ChainSpec((((),),))
+    with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+        ChainSpec((((1, 3),),))
     chain = ChainSpec(((parse_permutation("312"),),))
-    assert isinstance(chain.levels[0][0], Pattern)
+    assert chain.levels == (((3, 1, 2),),)
 
 
 def test_levels_and_length():
     chain = parse_chain("312,123:312")
     assert len(chain) == 2
-    assert chain.level_values() == (((3, 1, 2), (1, 2, 3)), ((3, 1, 2),))
+    assert chain.levels == (((3, 1, 2), (1, 2, 3)), ((3, 1, 2),))
 
 
 def test_reverse_complement_of_chain():
     chain = parse_chain("231,1432:231")
     assert chain.reverse_complement().text() == "312,3214:312"
     assert chain.reverse_complement().reverse_complement() == chain
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_chain_stores_the_value_words_of_its_patterns(k):
+    # The first level lists every pattern of length k, in lexicographic order.
+    levels = (tuple(all_words(k)), ((2, 3, 1),), ((1, 2), (2, 1)))
+    chain = ChainSpec(levels)
+    assert chain.levels == levels
+    for other in (
+        ChainSpec([map(Permutation, level) for level in levels]),
+        ChainSpec([map(Pattern, level) for level in levels]),
+        parse_chain(chain.text()),
+        copy.copy(chain),
+        copy.deepcopy(chain),
+        pickle.loads(pickle.dumps(chain)),
+        chain.reverse_complement().reverse_complement(),
+    ):
+        assert other == chain
+        assert hash(other) == hash(chain)
+        assert other.text() == chain.text()
+    assert chain.reverse_complement().levels == tuple(
+        tuple(Permutation(p).reverse_complement().values for p in level) for level in levels
+    )
+    # The first call compiles the chain's predicate; later calls find it.
+    words = [Permutation(w) for w in itertools.islice(all_words(5), 100)]
+    chain_avoids(words[0], chain)
+    before = _chain_predicate.cache_info(), _compile_predicate.cache_info()
+    for pi in words:
+        assert chain_avoids(pi, chain) == scan_chain_avoids(pi.values, levels)
+    after = _chain_predicate.cache_info(), _compile_predicate.cache_info()
+    assert [info.currsize for info in after] == [info.currsize for info in before]
+    assert after[0].hits == before[0].hits + 100
 
 
 def test_chain_avoids_examples():
@@ -81,7 +121,7 @@ def test_single_level_chain_is_plain_avoidance():
         for word in all_words(n):
             pi = Permutation(word)
             for pattern in PATTERNS_3:
-                chain = ChainSpec(((Pattern(pattern),),))
+                chain = ChainSpec(((pattern,),))
                 assert chain_avoids(pi, chain) == avoids(pi, Pattern(pattern))
 
 
@@ -117,7 +157,7 @@ def test_chain_agrees_with_scan_oracle():
     )
     for text in chains:
         chain = parse_chain(text)
-        levels = chain.level_values()
+        levels = chain.levels
         for n in range(0, 7):
             for word in all_words(n):
                 assert chain_avoids(Permutation(word), chain) == scan_chain_avoids(
@@ -135,15 +175,15 @@ def test_chain_agrees_with_scan_oracle():
 @example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], (1, 2, 3, 4, 8, 7, 5, 6))
 @example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], (5, 1, 2, 4, 3, 8, 7, 6))
 def test_chain_avoids_agrees_with_scan_oracle_on_random_chains(levels, word):
-    chain = ChainSpec(tuple(tuple(Pattern(p) for p in level) for level in levels))
+    chain = ChainSpec(levels)
     assert chain_avoids(Permutation(word), chain) == scan_chain_avoids(word, levels)
 
 
 def test_checks_run_cheapest_first():
     def order(text):
-        level_values = parse_chain(text).level_values()
-        checks = _checks(level_values)
-        assert _checks(level_values, 1) == tuple(c for c in checks if c[0])
+        levels = parse_chain(text).levels
+        checks = _checks(levels)
+        assert _checks(levels, 1) == tuple(c for c in checks if c[0])
         return [(depth, "".join(map(str, p))) for depth, p in checks]
 
     # Every length-3 rule, then the searches by length, then by depth.

@@ -38,7 +38,7 @@ def level1_walk(chain, n):
     """The chain avoiders of sizes 0 to n found on the level-1 tree, with
     every deeper level checked on every node: the tree a chain that does
     not prune at level 2 walks."""
-    avoids_deeper = _chain_predicate(chain.level_values(), 1)
+    avoids_deeper = _chain_predicate(chain.levels, 1)
     level1 = ChainSpec(chain.levels[:1])
     return [w for w in walk_chain_avoiders(n, level1) if avoids_deeper(w)]
 
@@ -118,7 +118,7 @@ def test_refinement_sums_to_total():
 def test_count_agrees_with_scan_oracle(root_walks, block_counts):
     for chain in TABLE_CHAINS:
         count_chain(8, chain)
-        levels = chain.level_values()
+        levels = chain.levels
         for n in range(1, 9):
             ref = count_chain(n, chain)
             assert (ref.n, ref.chain) == (n, chain)
@@ -134,7 +134,7 @@ def test_tree_matches_brute_force_for_table_chains():
         # A word that contains 231 (or 312) fails, at level 1, every chain
         # that lists that pattern first; only the rest need the full check.
         candidates = {
-            tau: [p for p in words if avoids(p, tau)]
+            tau: [p for p in words if avoids(p, Pattern(tau))]
             for tau in {c.levels[0][0] for c in TABLE_CHAINS}
         }
         for chain in TABLE_CHAINS:
@@ -147,8 +147,8 @@ def test_tree_matches_brute_force_for_table_chains():
 
 def test_table_chains_prune_and_match_the_level1_walk():
     for chain in TABLE_CHAINS:
-        square = chain.levels[1][0].values
-        assert enumeration._pruned_square(chain.level_values()) == square
+        square = chain.levels[1][0]
+        assert enumeration._pruned_square(chain.levels) == square
         count_chain(12, chain)
         got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
         assert got == splits_by_size(level1_walk(chain, 12), 12), chain
@@ -177,7 +177,7 @@ def test_block_counts_hold_the_closed_forms_far_out():
 
 def test_only_two_level_strong_chains_prune():
     def square(text):
-        return enumeration._pruned_square(parse_chain(text).level_values())
+        return enumeration._pruned_square(parse_chain(text).levels)
 
     assert square("312:312") == (3, 1, 2)
     assert square("2143,312:312") == (3, 1, 2)
@@ -203,10 +203,6 @@ def test_strong_avoiders_are_closed_under_deleting_the_extreme():
         assert set(walk_chain_avoiders(11, chain)) == oracle, text
 
 
-def _chain_of(levels):
-    return ChainSpec(tuple(tuple(Pattern(p) for p in level) for level in levels))
-
-
 @settings(max_examples=60, deadline=None)
 @given(chain_levels, st.integers(min_value=1, max_value=7))
 @example([[(1,)]], 3)
@@ -218,7 +214,7 @@ def _chain_of(levels):
 @example([[(1, 3, 2, 4, 5)], [(2, 1, 4, 3)], [(3, 1, 2)]], 7)
 def test_tree_matches_brute_force_on_random_chains(levels, n):
     enumeration._COUNTS.clear()
-    chain = _chain_of(levels)
+    chain = ChainSpec(levels)
     avoiders = brute_avoiders(generate_sn(n), chain)
     ref = count_chain(n, chain)
     assert (ref.total, ref.by_position_of_one) == (
@@ -248,8 +244,8 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
 @example((2, 3, 1), [(1, 4, 2, 3, 5), (2, 1, 3)], 0, 9)
 def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where, n):
     enumeration._COUNTS.clear()
-    chain = _chain_of([others[:where] + [square] + others[where:], [square]])
-    assert enumeration._pruned_square(chain.level_values()) == square
+    chain = ChainSpec([others[:where] + [square] + others[where:], [square]])
+    assert enumeration._pruned_square(chain.levels) == square
     oracle = level1_walk(chain, n)
     walked = list(walk_chain_avoiders(n, chain))
     assert sorted(walked) == sorted(oracle)
@@ -373,7 +369,7 @@ WALKED_CHAINS = [
 def test_walk_yields_exactly_the_chain_avoiders():
     words = [w for n in range(8) for w in all_words(n)]
     for chain in WALKED_CHAINS:
-        levels = chain.level_values()
+        levels = chain.levels
         walked = list(walk_chain_avoiders(7, chain))
         assert len(set(walked)) == len(walked), chain
         assert set(walked) == {w for w in words if scan_chain_avoids(w, levels)}, chain
@@ -390,7 +386,7 @@ def test_shards_start_from_nodes_that_fail_the_deeper_levels(monkeypatch):
     # them fail the deeper levels of this chain (the cube of 123 is 123)
     # and still have descendants that are chain avoiders.
     chain = parse_chain("45312:3421:123")
-    levels = chain.level_values()
+    levels = chain.levels
     n, half = 7, 3
     roots = [w for w in walk_chain_avoiders(half, ChainSpec(chain.levels[:1])) if len(w) == half]
     grown = {
@@ -427,3 +423,8 @@ def test_count_refinement_validation():
         CountRefinement(3, chain, 4, (1, 1, 1))
     with pytest.raises(ValueError, match=">= 0"):
         CountRefinement(2, chain, 0, (1, -1))
+    # The empty word is the one avoider of size 0.
+    assert CountRefinement(0, chain, 1, ()).total == 1
+    for total in (0, 2, 7):
+        with pytest.raises(ValueError, match="add up"):
+            CountRefinement(0, chain, total, ())
