@@ -14,6 +14,7 @@ from .enumeration import (
     CountRefinement,
     count_chain,
     generate_sn,
+    walk_chain_avoiders,
 )
 from .formulas import (
     FormulaId,
@@ -67,4 +68,5 @@ __all__ = [
     "reverse_identity",
     "strongly_avoids",
     "unimodal_forms",
+    "walk_chain_avoiders",
 ]

@@ -11,11 +11,11 @@ _count_all, which asks for n_max first, so that the smaller n are
 lookups; structure takes the strong 312 avoiders of every size from one
 walk of the tree of 312:312.
 
-  count      brute-force totals of one chain for n = 1..n_max, with the
+  count      exact totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
-  verify     brute force against the closed form for chosen table rows,
+  verify     exact counts against the closed form for chosen table rows,
              on both chains of each row
-  symmetry   brute force on the two chains of every row, checking that
+  symmetry   exact counts of the two chains of every row, checking that
              the mirrored counts agree
   structure  check that the strong 312 avoiders ending in 1 are exactly
              the unimodal words.  The tree of 312:312 prunes at level 2,
@@ -41,7 +41,7 @@ import sys
 from .chains import parse_chain, strongly_avoids  # noqa: F401
 from .enumeration import count_chain, walk_chain_avoiders
 from .formulas import evaluate, formula_by_tag, formula_table
-from .perm import Frozen, Permutation
+from .perm import Permutation
 from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimodal_forms
 
 _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
@@ -49,80 +49,57 @@ _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
 _CHAIN_312_312 = parse_chain("312:312")
 
 
-class VerificationRow(Frozen):
-    """One report line: a brute-force count next to its reference value.
+def _row(
+    n: int,
+    chain: str,
+    brute_force: int,
+    formula: int | None = None,
+    tag: str | None = None,
+    refinement: tuple[int, ...] | range | None = None,
+) -> dict:
+    """One report line: an exact count next to its reference value.
 
     formula holds whatever the row is checked against (a closed form,
     or the mirrored chain's count); the row agrees when the two values
-    match, or when there is nothing to match.
+    match, or when there is nothing to match.  The dict is the row's
+    JSON object, keyed by _FIELDS in order.
     """
-
-    __slots__ = ("n", "chain", "brute_force", "formula", "tag", "refinement")
-
-    n: int
-    chain: str
-    brute_force: int
-    formula: int | None
-    tag: str | None
-    refinement: tuple[int, ...] | None
-
-    def __init__(
-        self,
-        n: int,
-        chain: str,
-        brute_force: int,
-        formula: int | None = None,
-        tag: str | None = None,
-        refinement: tuple[int, ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "brute_force", brute_force)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "refinement", refinement)
-
-    @property
-    def agree(self) -> bool:
-        return self.formula is None or self.formula == self.brute_force
-
-    def csv_fields(self) -> list[str]:
-        return [
-            str(self.n),
-            self.chain,
-            str(self.brute_force),
-            "" if self.formula is None else str(self.formula),
-            self.tag or "",
-            "true" if self.agree else "false",
-            "" if self.refinement is None else ",".join(str(c) for c in self.refinement),
-        ]
-
-    def json_object(self) -> dict:
-        return {
-            "n": self.n,
-            "chain": self.chain,
-            "brute_force": self.brute_force,
-            "formula": self.formula,
-            "tag": self.tag,
-            "agree": self.agree,
-            "refinement": None if self.refinement is None else list(self.refinement),
-        }
+    return {
+        "n": n,
+        "chain": chain,
+        "brute_force": brute_force,
+        "formula": formula,
+        "tag": tag,
+        "agree": formula is None or formula == brute_force,
+        "refinement": None if refinement is None else list(refinement),
+    }
 
 
-Outcome = tuple[list[VerificationRow], list[str]]
+Outcome = tuple[list[dict], list[str]]
 
 
-def render_report(rows: list[VerificationRow], fmt: str) -> str:
+def _cell(value) -> str:
+    # bool before the str() fallback, which would write True as "True".
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def render_report(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         # Imported only for JSON reports, so that CSV runs do not pay for it.
         import json
 
-        return json.dumps([row.json_object() for row in rows], indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_FIELDS)
     for row in rows:
-        writer.writerow(row.csv_fields())
+        writer.writerow(map(_cell, row.values()))
     return buffer.getvalue()
 
 
@@ -143,9 +120,7 @@ def cmd_count(args: argparse.Namespace) -> Outcome:
     rows = []
     for n in range(1, args.n_max + 1):
         ref = counts[n, chain]
-        rows.append(
-            VerificationRow(n, chain.text(), ref.total, refinement=ref.by_position_of_one)
-        )
+        rows.append(_row(n, chain.text(), ref.total, refinement=ref.by_position_of_one))
     return rows, []
 
 
@@ -165,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
             expected = evaluate(formula, n)
             for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
                 got = counts[n, chain].total
-                rows.append(VerificationRow(n, chain.text(), got, expected, formula.tag))
+                rows.append(_row(n, chain.text(), got, expected, formula.tag))
                 if got != expected:
                     problems.append(
                         f"disagreement: tag={formula.tag} n={n} side={side} "
@@ -185,7 +160,7 @@ def cmd_symmetry(args: argparse.Namespace) -> Outcome:
         for n in range(1, args.n_max + 1):
             left = counts[n, formula.chain_231].total
             right = counts[n, formula.chain_312].total
-            rows.append(VerificationRow(n, formula.chain_231.text(), left, right, formula.tag))
+            rows.append(_row(n, formula.chain_231.text(), left, right, formula.tag))
             if left != right:
                 problems.append(
                     f"mirror count mismatch: tag={formula.tag} n={n} "
@@ -214,13 +189,7 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     for n in sizes:
         classified = classified_words[n]
         rows.append(
-            VerificationRow(
-                n,
-                "312:312",
-                strong_counts[n],
-                len(classified),
-                refinement=tuple(breakpoint_range(n)),
-            )
+            _row(n, "312:312", strong_counts[n], len(classified), refinement=breakpoint_range(n))
         )
         forms = {form.values for form in unimodal_forms(n)}
         if classified != forms:
@@ -242,7 +211,7 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainperm",
-        description="Brute-force verification of chain pattern avoidance counts.",
+        description="Exact-count verification of chain pattern avoidance counts.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -265,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser(
-        "count", parents=[common], help="brute-force totals for one chain"
+        "count", parents=[common], help="exact totals for one chain"
     )
     count.add_argument("--chain", required=True, help="chain text, e.g. '312,231:312'")
     count.add_argument("--n-max", type=int, default=9, help="largest size to count")
     count.set_defaults(func=cmd_count)
 
     verify = sub.add_parser(
-        "verify", parents=[common], help="check closed forms against brute force"
+        "verify", parents=[common], help="check closed forms against exact counts"
     )
     verify.add_argument(
         "--tags",

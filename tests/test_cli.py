@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 import chainperm
 import chainperm.cli
 from chainperm import Permutation, classify_strong_312_ending_in_1, parse_permutation
-from chainperm.cli import main
+from chainperm.cli import _FIELDS, _row, main, render_report
 from helpers import scan_structure
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -47,6 +48,36 @@ def test_count_csv_report(capsys):
     assert all(r[1] == "312" for r in rows)
     assert all(r[3] == "" and r[4] == "" and r[5] == "true" for r in rows)
     assert rows[2][6] == "2,1,2"
+
+
+def test_render_report_writes_each_row_in_csv_and_json():
+    rows = [
+        _row(4, "312:312", 7),
+        _row(4, "312:312", 7, 7, "T34"),
+        _row(4, "312:312", 7, formula=8, tag="T34"),
+        _row(2, "312", 2, refinement=(1, 1)),
+    ]
+    assert list(_row(1, "312", 1)) == list(_FIELDS)
+    assert rows[0] == {
+        "n": 4,
+        "chain": "312:312",
+        "brute_force": 7,
+        "formula": None,
+        "tag": None,
+        "agree": True,
+        "refinement": None,
+    }
+    assert [row["agree"] for row in rows] == [True, True, False, True]
+    assert render_report(rows, "csv") == (
+        "n,chain,brute_force,formula,tag,agree,refinement\n"
+        "4,312:312,7,,,true,\n"
+        "4,312:312,7,7,T34,true,\n"
+        "4,312:312,7,8,T34,false,\n"
+        '2,312,2,,,true,"1,1"\n'
+    )
+    assert json.loads(render_report(rows, "json")) == rows
+    assert rows[3]["refinement"] == [1, 1]
+    assert render_report(rows, "json").endswith("  }\n]\n")
 
 
 def test_count_json_matches_csv(capsys):
@@ -439,6 +470,16 @@ def load_tracing():
     return tracing
 
 
+def test_readme_package_names_are_exported():
+    # The identifiers in backticks in README's "The package provides:" list,
+    # bar the chainperm script, are the public names of the package.
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    listing = readme.split("The package provides:", 1)[1].split("## The formula table", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", listing)) - {"chainperm"}
+    assert {"Permutation", "count_chain", "walk_chain_avoiders"} <= names
+    assert sorted(names - set(chainperm.__all__)) == []
+
+
 def test_tracer_names_exist_in_cli():
     # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
     tracing = load_tracing()
@@ -559,6 +600,7 @@ def test_ctrl_c_during_pooled_count_exits_130():
     # start, for longer than the test waits; SIGINT goes to the whole process
     # group, as Ctrl-C does.
     argv = [sys.executable, "-m", "chainperm", "count", "--chain", "312", "--n-max", "14", "--jobs", "2"]
+    started = time.monotonic()
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
         start_new_session=True,
@@ -575,6 +617,12 @@ def test_ctrl_c_during_pooled_count_exits_130():
             time.sleep(0.01)
         assert workers, "no pool worker appeared"
         time.sleep(0.2)
+        # If the count has already ended, a later exit 0 is the test's timing,
+        # not a SIGINT the program ignored.
+        assert proc.poll() is None, (
+            f"the count ended (exit {proc.returncode}) before SIGINT was sent, "
+            f"{time.monotonic() - started:.2f} s after Popen"
+        )
         os.killpg(proc.pid, signal.SIGINT)
         _, stderr = proc.communicate(timeout=30)
     finally:

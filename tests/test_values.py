@@ -14,7 +14,6 @@ from chainperm import (
     formula_by_tag,
     parse_chain,
 )
-from chainperm.cli import VerificationRow
 
 
 def make_values():
@@ -63,7 +62,6 @@ def every_value():
         (chain, "levels"),
         (CountRefinement(1, chain, 1, (1,)), "total"),
         (formula_by_tag("T41"), "valid_from"),
-        (VerificationRow(1, "312", 1), "formula"),
     ]
 
 
@@ -120,25 +118,6 @@ def test_formula_id_keyword_construction():
             valid_from=0,
             description="",
         )
-
-
-def test_verification_row_defaults_and_agree():
-    row = VerificationRow(4, "312:312", 7)
-    assert (row.formula, row.tag, row.refinement) == (None, None, None)
-    assert row.agree
-    assert row.csv_fields() == ["4", "312:312", "7", "", "", "true", ""]
-    assert VerificationRow(4, "312:312", 7, 7, "T34").agree
-    assert not VerificationRow(4, "312:312", 7, formula=8, tag="T34").agree
-    row = VerificationRow(2, "312", 2, refinement=(1, 1))
-    assert row.json_object() == {
-        "n": 2,
-        "chain": "312",
-        "brute_force": 2,
-        "formula": None,
-        "tag": None,
-        "agree": True,
-        "refinement": [1, 1],
-    }
 
 
 def test_constructors_convert_and_validate():
