@@ -30,7 +30,9 @@ LevelValues = tuple[tuple[tuple[int, ...], ...], ...]
 
 class ChainSpec(Frozen):
     """An ordered, non-empty sequence of non-empty pattern levels, held as
-    the value words of the patterns, grouped by level.
+    the value words of the patterns, grouped by level.  Each pattern has
+    length at most 9, the most that chain text can write (see the module
+    docstring), so that parse_chain reads back every chain's text.
 
     >>> parse_chain("312,123:312").levels
     (((3, 1, 2), (1, 2, 3)), ((3, 1, 2),))
@@ -49,6 +51,8 @@ class ChainSpec(Frozen):
             raise ValueError("a chain needs at least one level")
         if any(not level for level in levels):
             raise ValueError("every chain level needs at least one pattern")
+        if any(len(p) > 9 for level in levels for p in level):
+            raise ValueError("a chain pattern has length at most 9, so that chain text can hold it")
         object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:

@@ -9,7 +9,8 @@ report once, then the problem lines to stderr.  Each chain is counted
 once, to n_max: count, verify and symmetry take their counts from
 _count_all, which asks for n_max first, so that the smaller n are
 lookups; structure takes the strong 312 avoiders of every size from one
-walk of the tree of 312:312.
+walk of the tree of 312:312, and checks them against the counts of
+312:312 from _count_all.
 
   count      exact totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -21,7 +22,9 @@ walk of the tree of 312:312.
              the unimodal words.  The tree of 312:312 prunes at level 2,
              so it holds exactly the strong 312 avoiders (see
              enumeration.py).  Each of them that ends in 1 must classify,
-             and the classified words must be the unimodal forms
+             the classified words must be the unimodal forms, and the
+             number of those that end in 1 must equal the count of
+             312:312 over blocks whose 1 sits last
 
 Exit codes: 0 all checks agree, 1 exactly when a problem line (a
 disagreement or counterexample) is printed, 2 usage or parse error or
@@ -185,6 +188,9 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
             witnesses[n] = min(witnesses.get(n, word), word)
         else:
             classified_words[n].add(word)
+    # The block program counts the same words independently: those whose
+    # first block, the one that holds the 1, is the whole word.
+    counts = _count_all(args, [_CHAIN_312_312])
     rows, problems = [], []
     for n in sizes:
         classified = classified_words[n]
@@ -196,6 +202,12 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
             problems.append(
                 f"form count mismatch at n={n}: {len(classified)} words classified, "
                 f"{len(forms)} unimodal forms"
+            )
+        counted = counts[n, _CHAIN_312_312].by_position_of_one[-1]
+        if counted != strong_counts[n]:
+            problems.append(
+                f"ending-in-1 count mismatch at n={n}: the walk finds {strong_counts[n]}, "
+                f"the block count gives {counted}"
             )
     if witnesses:
         # The lexicographically first witness of the smallest size.

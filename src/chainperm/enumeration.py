@@ -36,13 +36,15 @@ level 2 has exactly two levels, and either its second level is exactly
 312 and its first contains 312, or the same with 231.  Every such
 avoider is a strong 312 (or 231) avoider: it and its square avoid the
 pattern.  Deleting the maximum of a strong 312 avoider leaves a strong
-312 avoider, and deleting the minimum of a strong 231 avoider leaves a
-strong 231 avoider.  So the tree of the 312 side inserts the maximum,
-the tree of the 231 side inserts the minimum (the other values shift up
-by one), every child is decided in full, its square first, before it is
-pushed, and the nodes at depth m are exactly the chain avoiders of size
-m.  walk_chain_avoiders walks that tree; count_chain counts these chains
-without it, over direct sums of blocks (see the lemma below).
+312 avoider.  So the tree of the 312 side decides every child in full,
+its square first, before it is pushed, and its nodes at depth m are
+exactly the chain avoiders of size m.  The tree of the 231 side is its
+mirror: reverse complement maps a 231-side chain to a 312-side chain
+whose avoiders are the reverse complements of its own (see below), so
+walk_chain_avoiders walks the tree of that chain and yields the reverse
+complement of each word, and the walk only ever inserts the maximum.
+count_chain counts these chains without any tree, over direct sums of
+blocks (see the lemma below).
 
 Proof that a strong 312 avoider pi of size n stays strong when n is
 deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
@@ -159,15 +161,41 @@ length j holds the values 1..j.
   points when the next component is the point, one component (a', b')
   when it fits in (a, b), and nothing otherwise.
 
-The thresholds a' and b', and the lengths of point runs, are at most
-the length K of the longest pattern, so a step depends on a block (a, b)
-only through (min(a, K), min(b, K)): it is worked out once per state and
-such pair, and the blocks of a size that lead from a state to the same
-next state are grouped, with their number.  The program runs bottom-up
-over sizes: ways[m] holds, for each state, the sums of size m that
-complete no pattern when read from that state, and the split of size m
-adds, over each first block, ways[m - s] at the state that block leads
-to.  It builds no word and compiles nothing.
+Block classes (see _automaton).  The thresholds a' and b', and the
+lengths of point runs, are at most the length K of the longest pattern,
+so a step depends on a block (a, b) only through its class (min(a, K),
+min(b, K)).  Every block but the point has a <= b, so the classes are
+the point (1, 0) and the (a, b) with 1 <= a <= b <= K, and their blocks
+by size are:
+- (a, b) with b < K: the one block (a, b), of size a + b;
+- (a, K) with a < K: the blocks (a, b') with b' >= K, one of every size
+  s >= a + K;
+- (K, K): the blocks (a', b') with K <= a' <= b', floor(s/2) - K + 1 of
+  every size s >= 2K.
+The automaton works out each step once per state and class, from the
+start (every f = 0), and keeps for each state the classes that complete
+no pattern with the state each leads to.  It does not depend on n.
+
+Order.  A move never lowers a state in any coordinate, since each
+pattern's greedy position f only moves forward.  So the only cycles of
+the automaton are self-loops.
+
+Size program (see _sum_of_blocks).  It runs bottom-up over sizes:
+ways[m] holds, for each state, the sums of size m that complete no
+pattern when read from it, the sum over its moves of the blocks of each
+size s of the class times ways[m - s] at the state the move leads to.
+With the running sums runs[j] = ways[0] + ... + ways[j] and
+pairs[j] = runs[j] + pairs[j - 2], a move reads ways[m - a - b] for a
+class (a, b) with b < K, runs[m - a - K] for (a, K) and pairs[m - 2K]
+for (K, K), whose counts run 1, 1, 2, 2, 3, ... from size 2K on.  The
+split of size m adds, over each first block (a', b') of size s, ways[m -
+s] at the state it leads to, at the position of its 1: s on the 312
+side, b' + 1 on the 231 side.  There the blocks of the class (K, K) with
+a given b' have sizes b' + K to b' + min(b', m - b'), so they add one
+range of running sums, runs[m - b' - K] - runs[m - 2b' - 1], the second
+term 0 when its index is negative.  Each size
+takes O(n) steps per first move, O(n^2) in all on both sides, and the
+program builds no word and compiles nothing.
 
 The trees of the other chains, when large, are counted in a process
 pool.  The parent grows the tree alone up to the middle depth n // 2 and
@@ -180,11 +208,12 @@ Sizes are capped at MAX_ENUMERATION_N unless the caller forces past it.
 """
 
 import itertools
+import operator
 import os
 from typing import Iterable, Iterator
 
 from .chains import ChainSpec, LevelValues, _chain_predicate
-from .patterns import _complement, _length3_rule, _matcher
+from .patterns import _length3_rule, _matcher
 from .perm import Frozen, Permutation
 
 MAX_ENUMERATION_N = 14
@@ -254,11 +283,13 @@ def _pruned_square(levels: LevelValues) -> tuple[int, ...] | None:
     return None
 
 
-def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> list[list[int]]:
-    """The split by the position of 1 for every size 1 to n of a chain
-    whose tree prunes at level 2, counted over direct sums of blocks (see
-    Counting in the module docstring).  up is True on the 312 side, whose
-    blocks are id_a - delta_b, and False on the 231 side, whose blocks are
+def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict]:
+    """The greedy automaton of a chain whose tree prunes at level 2 (see
+    Block classes in the module docstring), as the cap K and the moves:
+    for each state, every block class (a, b) read from it that completes
+    no pattern, with the state it leads to.  The start, one 0 per pattern,
+    is the first key.  up is True on the 312 side, whose blocks are
+    id_a - delta_b, and False on the 231 side, whose blocks are
     delta_b - id_a."""
     # Each pattern as the forms (a, b) of its components; a pattern with a
     # component that fits in no block is dropped.
@@ -279,67 +310,77 @@ def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> lis
         if None not in forms:
             patterns.append(forms)
     cap = max(map(len, level1))
-    steps: dict = {}
-
-    def step(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...] | None:
-        """The state after a block (a, b) capped at cap, or None when it
-        completes a pattern."""
-        key = state, a, b
-        if key not in steps:
-            # Past up to a points when the next component is the point, else
-            # past one component when it fits in (a, b).
-            state = tuple(
-                t + (len(list(itertools.takewhile((1, 0).__eq__, forms[t : t + a])))
-                     or (forms[t][0] <= a and forms[t][1] <= b))
-                for forms, t in zip(patterns, state)
-            )
-            done = any(t == len(forms) for forms, t in zip(patterns, state))
-            steps[key] = None if done else state
-        return steps[key]
-
-    # Each block as its size, its b and its (a, b) capped.
-    blocks = [
-        (s, s - a, min(a, cap), min(s - a, cap))
-        for s in range(1, n + 1)
-        for a in range(1, max(s // 2, 1) + 1)
-    ]
-    start = (0,) * len(patterns)
-    # For each state, the blocks of each size that lead from it to each next
-    # state, and the first block, by (its size, the position of 1 less one,
-    # the state it leads to): how many.
+    classes = [(1, 0)] + [(a, b) for b in range(1, cap + 1) for a in range(1, b + 1)]
     moves: dict = {}
-    first: dict = {}
-    todo = [start]
+    todo = [(0,) * len(patterns)]
     while todo:
         state = todo.pop()
         if state in moves:
             continue
-        grouped: dict = {}
-        for s, b, *capped in blocks:
-            after = step(state, *capped)
-            if after is not None:
-                grouped[s, after] = grouped.get((s, after), 0) + 1
-                if state == start:
-                    key = s, s - 1 if up else b, after
-                    first[key] = first.get(key, 0) + 1
-        moves[state] = [(s, after, c) for (s, after), c in grouped.items()]
-        todo += [after for _, after in grouped]
-    # ways[m][state]: the sums of size m that complete no pattern from state.
-    ways = [dict.fromkeys(moves, 1)]
+        moves[state] = []
+        for a, b in classes:
+            # Past up to a points when the next component is the point, else
+            # past one component when it fits in (a, b).
+            after = tuple(
+                t + (len(list(itertools.takewhile((1, 0).__eq__, forms[t : t + a])))
+                     or (forms[t][0] <= a and forms[t][1] <= b))
+                for forms, t in zip(patterns, state)
+            )
+            if all(t < len(forms) for forms, t in zip(patterns, after)):
+                moves[state].append(((a, b), after))
+                todo.append(after)
+    return cap, moves
+
+
+def _add_at(split: list[int], lo: int, values: Iterable[int]) -> None:
+    """Add the values to split from index lo on."""
+    values = list(values)
+    split[lo : lo + len(values)] = map(operator.add, split[lo:], values)
+
+
+def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> list[list[int]]:
+    """The split by the position of 1 for every size 1 to n of a chain
+    whose tree prunes at level 2, counted over the block classes of its
+    automaton (see Size program in the module docstring)."""
+    cap, moves = _automaton(level1, up)
+    start = next(iter(moves))
+    # For each state, ways[j]: the sums of size j that complete no pattern
+    # from it, and its running sums by steps of 1 and of 2, which the
+    # classes (a, cap) and (cap, cap) read.
+    series = {state: ([1], [1], [1]) for state in moves}
+    halves = [i // 2 + 1 for i in range(n)]
     splits = []
     for m in range(1, n + 1):
+        for state, move in moves.items():
+            w = sum(
+                series[after][(a == cap) + (b == cap)][m - a - b]
+                for (a, b), after in move
+                if a + b <= m
+            )
+            ways, runs, pairs = series[state]
+            ways.append(w)
+            runs.append(runs[-1] + w)
+            pairs.append(runs[-1] + (pairs[-2] if m > 1 else 0))
+        # The first block of size s holds the 1 at position s on the 312
+        # side, and at position b + 1 on the 231 side.
         split = [0] * m
-        for (s, position, after), c in first.items():
-            if s > m:
-                break
-            split[position] += c * ways[m - s][after]
+        for (a, b), after in moves[start]:
+            ways, runs, _ = series[after]
+            j = m - a - b
+            if j < 0:
+                continue
+            if b < cap:
+                split[a + b - 1 if up else b] += ways[j]
+            elif a < cap:
+                _add_at(split, cap + a - 1 if up else cap, ways[j::-1])
+            elif up:
+                _add_at(split, 2 * cap - 1, map(operator.mul, ways[j::-1], halves))
+            else:
+                # The blocks (a', b') with cap <= a' <= b', by b': a range of
+                # the running sums for each b'.
+                _add_at(split, cap, runs[j::-1])
+                _add_at(split, cap, map(operator.neg, runs[j - 1 :: -2] if j else ()))
         splits.append(split)
-        ways.append(
-            {
-                state: sum(c * ways[m - s][after] for s, after, c in move if s <= m)
-                for state, move in moves.items()
-            }
-        )
     return splits
 
 
@@ -354,20 +395,18 @@ def _grow(
     the deeper levels.
 
     The nodes are the level-1 avoiders, grown by inserting the maximum,
-    unless the tree prunes at level 2.  Then they are the chain avoiders,
-    and the 231 side inserts the minimum: its level-1 patterns are decided
-    on the complement of the word, where the minimum is the maximum.
+    unless the chain is a 312-side chain whose tree prunes at level 2 (see
+    _pruned_square).  Then they are the chain avoiders.  The tree of a
+    231-side chain is the mirror of the 312 tree (see walk_chain_avoiders).
 
     A child that is not grown any further (one of size n), and every
     child of a pruned tree, is decided in full, cheapest check first: the
     deeper levels, then the pinned level-1 searches.  Any other child is
     pushed on level 1 alone and yielded only if it passes the deeper
     levels."""
-    square = _pruned_square(levels)
-    minimum = square == (2, 3, 1)
-    level1 = [tuple(_complement(p)) if minimum else p for p in levels[0]]
-    rules = [rule for rule in map(_length3_rule, level1) if rule is not None]
-    rejects = [_matcher(p, pinned=True) for p in level1 if len(p) != 3]
+    pruned = _pruned_square(levels) == (3, 1, 2)
+    rules = [rule for rule in map(_length3_rule, levels[0]) if rule is not None]
+    rejects = [_matcher(p, pinned=True) for p in levels[0] if len(p) != 3]
     deeper = _chain_predicate(levels, 1) if len(levels) > 1 else None
     stack = list(nodes)
     while stack:
@@ -378,26 +417,17 @@ def _grow(
         leaf = size == n
         # The deeper levels run before the pinned searches on a child
         # decided in full, and after them on one that is pushed.
-        first = deeper if leaf or square is not None else None
+        first = deeper if leaf or pruned else None
         last = deeper if first is None else None
-        if minimum:
-            seen = tuple(map(size.__sub__, word))
-            word, new = tuple(map((1).__add__, word)), (1,)
-        else:
-            seen, new = word, (size,)
         free = range(size)
         for free_slots in rules:
-            free = [i for i in free_slots(seen) if i in free]
+            free = [i for i in free_slots(word) if i in free]
         for i in free:
-            child = word[:i] + new + word[i:]
+            child = word[:i] + (size,) + word[i:]
             if first is not None and not first(child):
                 continue
-            if rejects:
-                # The searches run on the word whose maximum is the new
-                # entry: the child, or its complement on the 231 side.
-                pinned = seen[:i] + (size,) + seen[i:] if minimum else child
             for reject in rejects:
-                if reject(pinned, i):
+                if reject(child, i):
                     break
             else:
                 if not leaf:
@@ -537,6 +567,9 @@ def walk_chain_avoiders(
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    grown = _grow([()], n, chain.levels)
+    mirror = _pruned_square(chain.levels) == (2, 3, 1)
+    grown = _grow([()], n, (chain.reverse_complement() if mirror else chain).levels)
+    if mirror:
+        grown = (tuple(len(w) + 1 - v for v in reversed(w)) for w in grown)
     return itertools.chain([()], grown)
 

@@ -33,6 +33,27 @@ def test_parse_and_text_round_trip():
         assert str(chain) == text
 
 
+chain_patterns = st.integers(min_value=1, max_value=9).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(chain_patterns, min_size=1, max_size=3), min_size=1, max_size=3))
+@example([[tuple(range(9, 0, -1))], [(3, 1, 2)]])
+def test_every_chain_reads_back_from_its_text(levels):
+    chain = ChainSpec(levels)
+    assert parse_chain(chain.text()) == chain
+
+
+def test_chain_patterns_longer_than_9_are_refused():
+    with pytest.raises(ValueError, match="at most 9"):
+        ChainSpec([[tuple(range(10, 0, -1))], [(3, 1, 2)]])
+    with pytest.raises(ValueError, match="at most 9"):
+        ChainSpec([[(3, 1, 2)], [(3, 1, 2), tuple(range(1, 11))]])
+    assert ChainSpec([[tuple(range(9, 0, -1))], [(3, 1, 2)]]).text() == "987654321:312"
+
+
 def test_parse_ignores_whitespace():
     assert parse_chain(" 312 , 123 : 312 ").text() == "312,123:312"
     assert parse_chain("\t21:\n21").text() == "21:21"

@@ -335,6 +335,27 @@ def test_structure_same_size_mismatch_exits_1(capsys, monkeypatch):
     assert all(r[5] == "true" for r in rows)
 
 
+def test_structure_block_count_mismatch_exits_1(capsys, monkeypatch):
+    # The block program counts one strong 312 avoider ending in 1 too many
+    # at n = 4; the walk, the classifier and the forms are untouched.
+    count = chainperm.enumeration._sum_of_blocks
+
+    def miscount(n, level1, up):
+        splits = count(n, level1, up)
+        splits[3][-1] += 1
+        return splits
+
+    monkeypatch.setattr(chainperm.enumeration, "_sum_of_blocks", miscount)
+    code, out, err = run_cli(capsys, "structure", "--n-max", "5")
+    assert code == 1
+    assert err.splitlines() == [
+        "ending-in-1 count mismatch at n=4: the walk finds 2, the block count gives 3",
+    ]
+    rows = parse_csv(out)
+    assert len(rows) == 5
+    assert all(r[5] == "true" for r in rows)
+
+
 def test_structure_form_containing_312_exits_1(capsys, monkeypatch):
     # 4231 contains 312, so it is no candidate; the form count stays the same.
     forms = chainperm.cli.unimodal_forms

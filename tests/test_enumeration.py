@@ -254,6 +254,37 @@ def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where,
     assert got == splits_by_size(oracle, n)
 
 
+def assert_moves_never_go_back(level1, up):
+    """Every move of the chain's block automaton leads to a state at least
+    as large in every coordinate, so its only cycles are self-loops."""
+    cap, moves = enumeration._automaton(level1, up)
+    assert cap == max(map(len, level1))
+    assert next(iter(moves)) == (0,) * len(next(iter(moves)))
+    for state, move in moves.items():
+        for (a, b), after in move:
+            assert 1 <= a <= max(b, 1) and b <= cap, (level1, a, b)
+            assert after in moves, (level1, after)
+            assert all(t <= u for t, u in zip(state, after)), (level1, state, after)
+
+
+def test_table_automata_only_move_forward():
+    for chain in TABLE_CHAINS:
+        assert_moves_never_go_back(chain.levels[0], chain.levels[1][0] == (3, 1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(3, 1, 2), (2, 3, 1)]),
+    st.lists(pattern_words, max_size=3),
+    st.integers(min_value=0, max_value=3),
+)
+@example((3, 1, 2), [(1, 2), (2, 1, 4, 3), (1, 3, 2, 4, 5)], 1)
+@example((2, 3, 1), [(1, 2, 3), (2, 1, 3), (3, 2, 1, 4)], 3)
+def test_random_automata_only_move_forward(square, others, where):
+    level1 = tuple(others[:where] + [square] + others[where:])
+    assert_moves_never_go_back(level1, square == (3, 1, 2))
+
+
 def test_counts_are_kept_per_chain(root_walks, block_counts):
     chain = parse_chain("312,3214:312")
     at_6 = count_chain(6, chain)
