@@ -113,9 +113,19 @@ def _cost(check: Check) -> tuple[bool, int, int]:
     return len(pattern) != 3, len(pattern), depth
 
 
+def _checks(levels: LevelValues, start: int = 0) -> tuple[Check, ...]:
+    """Every pattern of the levels from start + 1 on with its depth, in the
+    order the chain predicate runs them, cheapest first (see _cost)."""
+    numbered = enumerate(levels[start:], start)
+    return tuple(sorted(((depth, p) for depth, level in numbered for p in level), key=_cost))
+
+
 @lru_cache(maxsize=None)
-def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
-    """The chain predicate of the given checks, written out as one function.
+def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
+    """The predicate of the levels from start + 1 on, written out as one
+    function and compiled once per chain and start: start 0 decides the
+    whole chain, start 1 the deeper levels of a word whose level 1 is
+    already settled.
 
     The function returned takes a raw word and returns False at the first
     check whose power of the word contains its pattern, else True.  Any
@@ -128,20 +138,12 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     on its power, built as a tuple at most once per word and depth.
 
     The source holds only the fixed lines of the kernels, depths and check
-    numbers; each search reaches it through the namespace.  So every
-    pattern must be a permutation of 1..k with k >= 1, and every depth an
-    integer >= 0.  The source is compiled once per tuple of checks, the way
-    _matcher compiles its searches, so chains with the same checks share
-    one function.
+    numbers; each search reaches it through the namespace.  So a pattern of
+    length 3 must be a key of _KERNELS, and _matcher refuses any other
+    pattern that is not a permutation of 1..k with k >= 1, before the
+    source is compiled.
     """
-    for depth, pattern in checks:
-        k = len(pattern)
-        if not k:
-            raise ValueError("a pattern must have length >= 1")
-        if sorted(pattern) != list(range(1, k + 1)):
-            raise ValueError(f"a pattern must be a permutation of 1..{k}: {pattern!r}")
-        if not isinstance(depth, int) or depth < 0:
-            raise ValueError(f"a depth must be an integer >= 0: {depth!r}")
+    checks = _checks(levels, start)
     lines = ["def avoids(w):", "    n = len(w)"]
     if any(depth for depth, _ in checks):
         lines.append("    p = (0,) + w")
@@ -150,8 +152,10 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     for c, (depth, pattern) in enumerate(checks):
         entry = "p[" * depth + "x" + "]" * depth
         if len(pattern) == 3:
-            start, step = _KERNELS[pattern]
-            lines += ["    " + line for line in start]
+            if pattern not in _KERNELS:
+                raise ValueError(f"a pattern must be a permutation of 1..3: {pattern!r}")
+            begin, step = _KERNELS[pattern]
+            lines += ["    " + line for line in begin]
             lines += ["    for x in w:", f"        v = {entry}"] if depth else ["    for v in w:"]
             lines += ["        " + line for line in step]
             continue
@@ -164,21 +168,6 @@ def _compile_predicate(checks: tuple[Check, ...]) -> Predicate:
     lines.append("    return True")
     exec(compile("\n".join(lines), f"<chain predicate {checks}>", "exec"), namespace)
     return namespace["avoids"]
-
-
-def _checks(levels: LevelValues, start: int = 0) -> tuple[Check, ...]:
-    """Every pattern of the levels from start + 1 on with its depth, in the
-    order the chain predicate runs them, cheapest first (see _cost)."""
-    numbered = enumerate(levels[start:], start)
-    return tuple(sorted(((depth, p) for depth, level in numbered for p in level), key=_cost))
-
-
-@lru_cache(maxsize=None)
-def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
-    """The compiled predicate of the levels from start + 1 on, once per
-    chain and start: start 0 decides the whole chain, start 1 the deeper
-    levels of a word whose level 1 is already settled."""
-    return _compile_predicate(_checks(levels, start))
 
 
 def chain_avoids(pi: Permutation, chain: ChainSpec) -> bool:

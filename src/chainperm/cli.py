@@ -120,10 +120,11 @@ def _count_all(args: argparse.Namespace, chains) -> dict:
 def cmd_count(args: argparse.Namespace) -> Outcome:
     chain = parse_chain(args.chain)
     counts = _count_all(args, [chain])
+    text = chain.text()
     rows = []
     for n in range(1, args.n_max + 1):
         ref = counts[n, chain]
-        rows.append(_row(n, chain.text(), ref.total, refinement=ref.by_position_of_one))
+        rows.append(_row(n, text, ref.total, refinement=ref.by_position_of_one))
     return rows, []
 
 
@@ -136,14 +137,16 @@ def _selected_formulas(tags_text: str):
 
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     formulas = [f for f in _selected_formulas(args.tags) if f.valid_from <= args.n_max]
-    counts = _count_all(args, [c for f in formulas for c in (f.chain_231, f.chain_312)])
+    chains = [c for f in formulas for c in (f.chain_231, f.chain_312)]
+    counts = _count_all(args, chains)
+    texts = {chain: chain.text() for chain in chains}
     rows, problems = [], []
     for formula in formulas:
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
             for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
                 got = counts[n, chain].total
-                rows.append(_row(n, chain.text(), got, expected, formula.tag))
+                rows.append(_row(n, texts[chain], got, expected, formula.tag))
                 if got != expected:
                     problems.append(
                         f"disagreement: tag={formula.tag} n={n} side={side} "
@@ -160,10 +163,11 @@ def cmd_symmetry(args: argparse.Namespace) -> Outcome:
     counts = _count_all(args, [c for f in formulas for c in (f.chain_231, f.chain_312)])
     rows, problems = [], []
     for formula in formulas:
+        text = formula.chain_231.text()
         for n in range(1, args.n_max + 1):
             left = counts[n, formula.chain_231].total
             right = counts[n, formula.chain_312].total
-            rows.append(_row(n, formula.chain_231.text(), left, right, formula.tag))
+            rows.append(_row(n, text, left, right, formula.tag))
             if left != right:
                 problems.append(
                     f"mirror count mismatch: tag={formula.tag} n={n} "
@@ -173,30 +177,21 @@ def cmd_symmetry(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_structure(args: argparse.Namespace) -> Outcome:
-    sizes = range(1, args.n_max + 1)
-    strong_counts = dict.fromkeys(sizes, 0)
-    classified_words = {n: set() for n in sizes}
-    witnesses = {}
+    ending_in_1 = {n: [] for n in range(1, args.n_max + 1)}
     # The tree of 312:312 holds exactly the strong 312 avoiders, so one walk
     # gives those that end in 1 for every n at once.
     for word in walk_chain_avoiders(args.n_max, _CHAIN_312_312, force=args.force):
-        if not word or word[-1] != 1:
-            continue
-        n = len(word)
-        strong_counts[n] += 1
-        if classify_strong_312_ending_in_1(Permutation(word)) is None:
-            witnesses[n] = min(witnesses.get(n, word), word)
-        else:
-            classified_words[n].add(word)
+        if word and word[-1] == 1:
+            ending_in_1[len(word)].append(word)
     # The block program counts the same words independently: those whose
     # first block, the one that holds the 1, is the whole word.
     counts = _count_all(args, [_CHAIN_312_312])
-    rows, problems = [], []
-    for n in sizes:
-        classified = classified_words[n]
-        rows.append(
-            _row(n, "312:312", strong_counts[n], len(classified), refinement=breakpoint_range(n))
-        )
+    rows, problems, witness = [], [], None
+    for n, words in ending_in_1.items():
+        classified = {
+            w for w in words if classify_strong_312_ending_in_1(Permutation(w)) is not None
+        }
+        rows.append(_row(n, "312:312", len(words), len(classified), refinement=breakpoint_range(n)))
         forms = {form.values for form in unimodal_forms(n)}
         if classified != forms:
             problems.append(
@@ -204,18 +199,18 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
                 f"{len(forms)} unimodal forms"
             )
         counted = counts[n, _CHAIN_312_312].by_position_of_one[-1]
-        if counted != strong_counts[n]:
+        if counted != len(words):
             problems.append(
-                f"ending-in-1 count mismatch at n={n}: the walk finds {strong_counts[n]}, "
+                f"ending-in-1 count mismatch at n={n}: the walk finds {len(words)}, "
                 f"the block count gives {counted}"
             )
-    if witnesses:
-        # The lexicographically first witness of the smallest size.
-        n = min(witnesses)
-        pi = Permutation(witnesses[n])
+        if witness is None and len(classified) < len(words):
+            # The lexicographically first witness of the smallest size.
+            witness = Permutation(min(set(words) - classified))
+    if witness is not None:
         problems.append(
-            f"counterexample at n={n}: {pi.text()} and its square {pi.power(2).text()} "
-            "both avoid 312"
+            f"counterexample at n={len(witness)}: {witness.text()} and its square "
+            f"{witness.power(2).text()} both avoid 312"
         )
     return rows, problems
 

@@ -19,7 +19,7 @@ Deeper levels, where the chain has any, are in general not closed under
 deleting the maximum, so for most chains the nodes at depth m are the
 level-1 avoiders of size m, and the deeper levels only decide which of
 them the walk yields.  They are checked by one function compiled per
-chain (see chains._compile_predicate), which runs in order of cost, not
+chain (see chains._chain_predicate), which runs in order of cost, not
 of level: first each pattern of length 3, in one O(n) pass that reads
 its power of the node in place, then the compiled searches, shortest
 pattern first, each on its power built once as a tuple.  A child of the
@@ -261,7 +261,7 @@ class CountRefinement(Frozen):
         by_position_of_one = tuple(by_position_of_one)
         if len(by_position_of_one) != n:
             raise ValueError("refinement vector must have one entry per position")
-        if any(c < 0 for c in by_position_of_one):
+        if min(by_position_of_one, default=0) < 0:
             raise ValueError("refinement entries must be >= 0")
         if total != (sum(by_position_of_one) if n else 1):
             raise ValueError("refinement entries must add up to the total, 1 for n = 0")

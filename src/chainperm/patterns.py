@@ -189,7 +189,6 @@ def _free_at_cuts(
     return [0] + [i for i, top in enumerate(accumulate(view(word), max), 1) if top == i]
 
 
-@lru_cache(maxsize=None)
 def _length3_rule(
     pattern: tuple[int, ...]
 ) -> Callable[[tuple[int, ...]], Iterable[int]] | None:

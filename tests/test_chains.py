@@ -14,13 +14,15 @@ from chainperm import (
     Permutation,
     avoids,
     chain_avoids,
+    count_chain,
     identity,
     parse_chain,
     parse_pattern,
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.chains import _chain_predicate, _checks, _compile_predicate
+from chainperm import enumeration
+from chainperm.chains import _chain_predicate, _checks
 from helpers import PATTERNS_3, all_words, scan_chain_avoids
 from strategies import chain_levels
 
@@ -123,12 +125,31 @@ def test_chain_stores_the_value_words_of_its_patterns(k):
     # The first call compiles the chain's predicate; later calls find it.
     words = [Permutation(w) for w in itertools.islice(all_words(5), 100)]
     chain_avoids(words[0], chain)
-    before = _chain_predicate.cache_info(), _compile_predicate.cache_info()
+    before = _chain_predicate.cache_info()
     for pi in words:
         assert chain_avoids(pi, chain) == scan_chain_avoids(pi.values, levels)
-    after = _chain_predicate.cache_info(), _compile_predicate.cache_info()
-    assert [info.currsize for info in after] == [info.currsize for info in before]
-    assert after[0].hits == before[0].hits + 100
+    after = _chain_predicate.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 100
+
+
+def test_chain_compiles_once_per_start():
+    # chain_avoids runs the predicate of the whole chain (start 0), and the
+    # tree of count_chain the one of its deeper levels (start 1): each is
+    # compiled once, and every later use finds it.
+    chain = parse_chain("13245:2143:312")
+    words = [Permutation(w) for w in all_words(5)]
+    _chain_predicate.cache_clear()
+    hits = []
+    for _ in range(2):
+        for pi in words:
+            chain_avoids(pi, chain)
+        enumeration._COUNTS.clear()
+        count_chain(7, chain)
+        info = _chain_predicate.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        hits.append(info.hits)
+    assert hits[1] - hits[0] > len(words)
 
 
 def test_chain_avoids_examples():

@@ -400,6 +400,23 @@ def test_verify_counts_each_chain_once(capsys, root_walks, block_counts):
     assert root_walks == []
 
 
+def test_verify_takes_each_chain_text_once(capsys, monkeypatch):
+    # A row holds its chain's text; the text is written once per chain,
+    # not once per row.
+    calls = []
+    text = chainperm.ChainSpec.text
+
+    def spy(chain):
+        calls.append(chain)
+        return text(chain)
+
+    monkeypatch.setattr(chainperm.ChainSpec, "text", spy)
+    code, out, _ = run_cli(capsys, "verify", "--tags", "all", "--n-max", "20", "--force")
+    assert code == 1
+    assert len(parse_csv(out)) > 18 * 19
+    assert len(calls) == len(set(calls)) == 18
+
+
 def test_reports_match_benchmark_references(capsys):
     # The same runs and bytes that perfbench/run.py compares.
     refs = PYPROJECT.parent / "perfbench" / "refs"
@@ -447,7 +464,7 @@ def test_importing_the_cli_compiles_no_matcher():
     # use, never at start-up.
     code = (
         "import chainperm.cli, chainperm.patterns as p, chainperm.chains as c; "
-        "print(p._matcher.cache_info().currsize, c._compile_predicate.cache_info().currsize)"
+        "print(p._matcher.cache_info().currsize, c._chain_predicate.cache_info().currsize)"
     )
     result = run_child([sys.executable, "-c", code])
     assert result.returncode == 0, describe(result)
@@ -463,7 +480,7 @@ def test_table_chains_compile_nothing():
         "for chain in chains:\n"
         "    cp.count_chain(8, chain)\n"
         "print(len(chains), p._matcher.cache_info().currsize,"
-        " c._compile_predicate.cache_info().currsize)"
+        " c._chain_predicate.cache_info().currsize)"
     )
     result = run_child([sys.executable, "-c", code])
     assert result.returncode == 0, describe(result)
@@ -476,7 +493,7 @@ def test_deep_chain_compiles_one_predicate():
     code = (
         "import chainperm as cp, chainperm.chains as c\n"
         "cp.count_chain(7, cp.parse_chain('13245:2143:312'))\n"
-        "print(c._compile_predicate.cache_info().currsize)"
+        "print(c._chain_predicate.cache_info().currsize)"
     )
     result = run_child([sys.executable, "-c", code])
     assert result.returncode == 0, describe(result)

@@ -1,10 +1,17 @@
 """Run the usage examples embedded in the library docstrings and the README."""
 
+import ast
 import doctest
+import importlib
+import io
+import pkgutil
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
+import chainperm
 from chainperm import chains, enumeration, formulas, patterns, perm, structure
 
 
@@ -21,3 +28,36 @@ def test_readme_quick_tour():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def prose(source: str):
+    """The docstrings and comments of a module's source, each with the
+    line it starts on."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def test_docstrings_and_comments_name_existing_attributes():
+    # A reference such as chains._chain_predicate in prose must name an
+    # attribute of that submodule, so that a rename cannot leave it stale.
+    # File names such as enumeration.py are not references; code is not
+    # read at all, so locals that share a submodule's name do not count.
+    names = [m.name for m in pkgutil.iter_modules(chainperm.__path__) if m.name[0] != "_"]
+    reference = re.compile(rf"\b({'|'.join(names)})\.([A-Za-z_][A-Za-z0-9_]*)")
+    stale = []
+    for path in sorted(Path(chainperm.__file__).parent.glob("*.py")):
+        for line, text in prose(path.read_text()):
+            for found in reference.finditer(text):
+                module, attribute = found.groups()
+                if attribute != "py" and not hasattr(
+                    importlib.import_module(f"chainperm.{module}"), attribute
+                ):
+                    at = line + text.count("\n", 0, found.start())
+                    stale.append(f"{path.name}:{at}: {found.group()}")
+    assert not stale

@@ -17,7 +17,8 @@ from chainperm import (
     parse_permutation,
     strongly_avoids,
 )
-from chainperm.chains import _compile_predicate
+from chainperm import chains, patterns
+from chainperm.chains import _chain_predicate
 from chainperm.patterns import _length3_rule, _matcher
 from helpers import (
     PATTERNS_3,
@@ -189,9 +190,10 @@ def test_insertion_rule_agrees_with_scan_oracle(pattern):
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
 def test_length3_kernel_agrees_with_scan_oracle(pattern):
     # Each kernel reads the power in place, so it runs here through the
-    # compiled predicate of a chain whose one check sits at that depth.
-    # Every power is again a word of the same size, scanned once.
-    predicates = [_compile_predicate(((depth, pattern),)) for depth in range(4)]
+    # predicate of the levels from depth + 1 on of a chain of depth + 1
+    # levels, each the pattern.  Every power is again a word of the same
+    # size, scanned once.
+    predicates = [_chain_predicate(((pattern,),) * (depth + 1), depth) for depth in range(4)]
     for n in range(9):
         scanned = {word: scan_contains(word, pattern) for word in all_words(n)}
         for word in scanned:
@@ -201,16 +203,18 @@ def test_length3_kernel_agrees_with_scan_oracle(pattern):
                 power = compose_words(word, power)
 
 
-def test_chain_predicate_is_built_only_from_permutations():
-    # The predicate is compiled from source chosen by each pattern and
-    # depth, so anything but a permutation of 1..k at an integer depth
-    # >= 0 is refused before any is written.
+def test_chain_predicate_is_built_only_from_permutations(monkeypatch):
+    # The predicate is compiled from source chosen by each pattern, so
+    # anything but a permutation of 1..k is refused before any source, the
+    # predicate's or a search's, is compiled.
+    def refuse(*args):
+        raise AssertionError("compiled")
+
+    for module in (chains, patterns):
+        monkeypatch.setattr(module, "compile", refuse, raising=False)
     for bad in ((), (1, 1, 2), (0, 1, 2), (2, 3, 4), (1, 3), (1, 1)):
         with pytest.raises(ValueError):
-            _compile_predicate(((1, bad),))
-    for depth in (-1, 1.5, "1"):
-        with pytest.raises(ValueError):
-            _compile_predicate(((depth, (3, 1, 2)),))
+            _chain_predicate((((3, 1, 2), bad), (bad,)))
 
 
 def test_only_length3_patterns_have_a_rule():
