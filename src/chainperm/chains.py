@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .patterns import _KERNELS, Pattern, ParseError, _matcher, parse_pattern
-from .perm import Frozen, Permutation, _word_text
+from .perm import Frozen, Permutation, _reverse_complement, _word_text
 
 LevelValues = tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -71,9 +71,7 @@ class ChainSpec(Frozen):
         Counts of chain avoiders are preserved under this map, because
         reverse complement commutes with taking powers.
         """
-        return ChainSpec(
-            (tuple(len(p) + 1 - v for v in reversed(p)) for p in level) for level in self.levels
-        )
+        return ChainSpec(map(_reverse_complement, level) for level in self.levels)
 
 
 def parse_chain(text: str) -> ChainSpec:

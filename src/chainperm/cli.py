@@ -183,8 +183,11 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     for word in walk_chain_avoiders(args.n_max, _CHAIN_312_312, force=args.force):
         if word and word[-1] == 1:
             ending_in_1[len(word)].append(word)
-    # The block program counts the same words independently: those whose
-    # first block, the one that holds the 1, is the whole word.
+    # The block program counts the same words: those whose first block, the
+    # one that holds the 1, is the whole word.  It and the walk's pruning both
+    # rest on step 2 of the proof in enumeration.py.  Criterion 4 and
+    # tests/test_cli.py::test_structure_report_matches_scan_oracle assume
+    # neither: they scan every word that ends in 1 for n <= 9.
     counts = _count_all(args, [_CHAIN_312_312])
     rows, problems, witness = [], [], None
     for n, words in ending_in_1.items():

@@ -160,6 +160,13 @@ length j holds the values 1..j.
   is the point.  From the state, the step therefore passes up to a
   points when the next component is the point, one component (a', b')
   when it fits in (a, b), and nothing otherwise.
+- The 231 side.  Reverse complement keeps containment, maps the point to
+  the point and the 231 block (a, b), delta_b - id_a, to the 312 block
+  (a, b), id_a - delta_b.  So a component occurs in a 231 block (a, b)
+  exactly when its reverse complement occurs in the 312 block (a, b),
+  and the automaton reads each 231-side component through its reverse
+  complement: both sides share one block shape and one rule for (a, b),
+  and differ only in where the 1 of a first block sits.
 
 Block classes (see _automaton).  The thresholds a' and b', and the
 lengths of point runs, are at most the length K of the longest pattern,
@@ -214,7 +221,7 @@ from typing import Iterable, Iterator
 
 from .chains import ChainSpec, LevelValues, _chain_predicate
 from .patterns import _length3_rule, _matcher
-from .perm import Frozen, Permutation
+from .perm import Frozen, Permutation, _reverse_complement
 
 MAX_ENUMERATION_N = 14
 
@@ -271,15 +278,14 @@ class CountRefinement(Frozen):
         object.__setattr__(self, "by_position_of_one", by_position_of_one)
 
 
-def _pruned_square(levels: LevelValues) -> tuple[int, ...] | None:
-    """312 or 231 when the chain's tree prunes at level 2 (see the module
-    docstring): the chain has exactly two levels, the second is that
-    pattern alone and the first contains it.  None for every other chain."""
-    if len(levels) != 2 or len(levels[1]) != 1:
-        return None
-    square = levels[1][0]
+def _strong_side(levels: LevelValues) -> bool | None:
+    """True on the 312 side and False on the 231 side when the chain's tree
+    prunes at level 2 (see the module docstring): the chain has exactly two
+    levels, the second is 312 (or 231) alone and the first contains it.
+    None for every other chain."""
+    square = levels[1][0] if len(levels) == 2 and len(levels[1]) == 1 else None
     if square in ((3, 1, 2), (2, 3, 1)) and square in levels[0]:
-        return square
+        return square == (3, 1, 2)
     return None
 
 
@@ -288,9 +294,11 @@ def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict
     Block classes in the module docstring), as the cap K and the moves:
     for each state, every block class (a, b) read from it that completes
     no pattern, with the state it leads to.  The start, one 0 per pattern,
-    is the first key.  up is True on the 312 side, whose blocks are
-    id_a - delta_b, and False on the 231 side, whose blocks are
-    delta_b - id_a."""
+    is the first key.  A component has the form (a, b) when it is the
+    block id_a - delta_b, the one block shape.  up is True on the 312
+    side; on the 231 side each component is read through its reverse
+    complement, which maps the block delta_b - id_a to id_a - delta_b
+    (see The 231 side in the module docstring)."""
     # Each pattern as the forms (a, b) of its components; a pattern with a
     # component that fits in no block is dropped.
     patterns = []
@@ -299,13 +307,11 @@ def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict
         for end, value in enumerate(pattern, 1):
             top = max(top, value)
             if top == end:  # pattern[cut:end] is a component
-                part, k = [v - cut for v in pattern[cut:end]], end - cut
-                a = k + 1 - part[0] if up else part[-1]
-                if up:
-                    block = [*range(part[0], k + 1), *range(part[0] - 1, 0, -1)]
-                else:
-                    block = [*range(k, a, -1), *range(1, a + 1)]
-                forms.append((a, k - a) if part == block else None)
+                part = tuple(v - cut for v in pattern[cut:end])
+                part = part if up else _reverse_complement(part)
+                k, b = end - cut, part[0] - 1
+                block = (*range(b + 1, k + 1), *range(b, 0, -1))
+                forms.append((k - b, b) if part == block else None)
                 cut = end
         if None not in forms:
             patterns.append(forms)
@@ -396,7 +402,7 @@ def _grow(
 
     The nodes are the level-1 avoiders, grown by inserting the maximum,
     unless the chain is a 312-side chain whose tree prunes at level 2 (see
-    _pruned_square).  Then they are the chain avoiders.  The tree of a
+    _strong_side).  Then they are the chain avoiders.  The tree of a
     231-side chain is the mirror of the 312 tree (see walk_chain_avoiders).
 
     A child that is not grown any further (one of size n), and every
@@ -404,7 +410,7 @@ def _grow(
     deeper levels, then the pinned level-1 searches.  Any other child is
     pushed on level 1 alone and yielded only if it passes the deeper
     levels."""
-    pruned = _pruned_square(levels) == (3, 1, 2)
+    pruned = _strong_side(levels) is True
     rules = [rule for rule in map(_length3_rule, levels[0]) if rule is not None]
     rejects = [_matcher(p, pinned=True) for p in levels[0] if len(p) != 3]
     deeper = _chain_predicate(levels, 1) if len(levels) > 1 else None
@@ -540,11 +546,11 @@ def count_chain(
         return CountRefinement(0, chain, 1, ())
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
-        square = _pruned_square(chain.levels)
-        if square is None:
+        up = _strong_side(chain.levels)
+        if up is None:
             splits = _walk(n, chain.levels, jobs)
         else:
-            splits = _sum_of_blocks(n, chain.levels[0], square == (3, 1, 2))
+            splits = _sum_of_blocks(n, chain.levels[0], up)
         counts = tuple(
             CountRefinement(size, chain, sum(split), tuple(split))
             for size, split in enumerate(splits, start=1)
@@ -567,9 +573,9 @@ def walk_chain_avoiders(
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
     _check_size(n, force)
-    mirror = _pruned_square(chain.levels) == (2, 3, 1)
+    mirror = _strong_side(chain.levels) is False
     grown = _grow([()], n, (chain.reverse_complement() if mirror else chain).levels)
     if mirror:
-        grown = (tuple(len(w) + 1 - v for v in reversed(w)) for w in grown)
+        grown = map(_reverse_complement, grown)
     return itertools.chain([()], grown)
 

@@ -16,18 +16,24 @@ def _ceil_half(n: int) -> int:
     return (n + 1) // 2
 
 
+def _recurrence(n: int, second: int, name: str) -> int:
+    """The n-th term of the sequence that starts 1, second and adds the two
+    terms before each later one; name is the sequence's, for the error."""
+    if n < 1:
+        raise ValueError(f"{name} is defined for n >= 1")
+    a, b = 1, second
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
+
+
 def fibonacci(n: int) -> int:
     """Fibonacci numbers indexed so that F(1) = 1 and F(2) = 2.
 
     >>> [fibonacci(n) for n in range(1, 7)]
     [1, 2, 3, 5, 8, 13]
     """
-    if n < 1:
-        raise ValueError("fibonacci is defined for n >= 1")
-    a, b = 1, 2
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _recurrence(n, 2, "fibonacci")
 
 
 def lucas(n: int) -> int:
@@ -36,12 +42,7 @@ def lucas(n: int) -> int:
     >>> [lucas(n) for n in range(1, 7)]
     [1, 3, 4, 7, 11, 18]
     """
-    if n < 1:
-        raise ValueError("lucas is defined for n >= 1")
-    a, b = 1, 3
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _recurrence(n, 3, "lucas")
 
 
 def ceiling_half_sum(n: int) -> int:
@@ -64,21 +65,9 @@ def _exact_div(numerator: int, divisor: int) -> int:
     return quotient
 
 
-def _t31(n: int) -> int:
-    return 2 * n - 3
-
-
-def _t32(n: int) -> int:
-    return fibonacci(n)
-
-
 def _t33(n: int) -> int:
     k, odd = divmod(n, 2)
     return k * k + k + 1 if odd else k * k + 1
-
-
-def _t34(n: int) -> int:
-    return 2 ** (n - 1)
 
 
 def _t41(n: int) -> int:
@@ -134,29 +123,21 @@ class FormulaId(Frozen):
         object.__setattr__(self, "description", description)
 
 
-_EVALUATORS: dict[str, Callable[[int], int]] = {
-    "T31": _t31,
-    "T32": _t32,
-    "T33": _t33,
-    "T34": _t34,
-    "T35": _t33,
-    "T41": _t41,
-    "T42": _t42,
-    "T43": _t43,
-    "T44": _t43,
-}
-
+# One row per tag: the two level-1 sides, valid_from, the description and
+# the closed form the row claims.
 _ROWS = (
-    ("T31", "123", "123", 3, "2n - 3"),
-    ("T32", "321", "321", 1, "F(n) with F(1)=1, F(2)=2"),
-    ("T33", "132", "213", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1"),
-    ("T34", "312", "231", 1, "2^(n - 1)"),
-    ("T35", "213", "132", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1"),
-    ("T41", "1432", "3214", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3"),
-    ("T42", "1423", "2314", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1"),
-    ("T43", "1243", "2134", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1"),
-    ("T44", "2143", "2143", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1"),
+    ("T31", "123", "123", 3, "2n - 3", lambda n: 2 * n - 3),
+    ("T32", "321", "321", 1, "F(n) with F(1)=1, F(2)=2", fibonacci),
+    ("T33", "132", "213", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33),
+    ("T34", "312", "231", 1, "2^(n - 1)", lambda n: 2 ** (n - 1)),
+    ("T35", "213", "132", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33),
+    ("T41", "1432", "3214", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3", _t41),
+    ("T42", "1423", "2314", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1", _t42),
+    ("T43", "1243", "2134", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43),
+    ("T44", "2143", "2143", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43),
 )
+
+_EVALUATORS: dict[str, Callable[[int], int]] = {row[0]: row[-1] for row in _ROWS}
 
 _TABLE = tuple(
     FormulaId(
@@ -166,7 +147,7 @@ _TABLE = tuple(
         valid_from=valid_from,
         description=description,
     )
-    for tag, side_231, side_312, valid_from, description in _ROWS
+    for tag, side_231, side_312, valid_from, description, _ in _ROWS
 )
 
 _BY_TAG = {row.tag: row for row in _TABLE}

@@ -60,6 +60,15 @@ def _word_text(values: tuple[int, ...]) -> str:
     return ("" if len(values) <= 9 else ",").join(map(str, values))
 
 
+def _reverse_complement(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The word read right to left, with each value v replaced by n + 1 - v.
+
+    >>> _reverse_complement((2, 3, 1))
+    (3, 1, 2)
+    """
+    return tuple(map((len(values) + 1).__sub__, reversed(values)))
+
+
 class Permutation(Frozen):
     """A bijection on {1, ..., n}, held as its one-line word.
 
@@ -147,8 +156,7 @@ class Permutation(Frozen):
         >>> str(Permutation((2, 3, 1)).reverse_complement())
         '312'
         """
-        n = len(self.values)
-        return Permutation(tuple(n + 1 - v for v in self.values[::-1]))
+        return Permutation(_reverse_complement(self.values))
 
     def direct_sum(self, other: "Permutation") -> "Permutation":
         """self on 1..l, then other shifted up by l.

@@ -24,12 +24,11 @@ def build_unimodal(n: int, k: int) -> Permutation:
     >>> str(build_unimodal(7, 4))
     '5674321'
     """
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    if not _ceil_half(n) <= k <= n:
+    admissible = breakpoint_range(n)
+    if k not in admissible:
         raise ValueError(
             f"breakpoint k={k} is outside the admissible range for n={n}: "
-            f"k >= n/2 and k <= n, i.e. {_ceil_half(n)} <= k <= {n}"
+            f"k >= n/2 and k <= n, i.e. {admissible.start} <= k <= {n}"
         )
     return Permutation(tuple(range(k + 1, n + 1)) + tuple(range(k, 0, -1)))
 
@@ -49,9 +48,7 @@ def classify_strong_312_ending_in_1(pi: Permutation) -> int | None:
     if values == tuple(range(n, 0, -1)):
         return n
     k = values[0] - 1
-    if k < _ceil_half(n):
-        return None
-    if values == build_unimodal(n, k).values:
+    if k in breakpoint_range(n) and values == build_unimodal(n, k).values:
         return k
     return None
 
@@ -62,9 +59,7 @@ def count_strong_312_ending_in_1(n: int) -> int:
     This counts breakpoints, not words; the distinct words number one
     fewer for n >= 2 (see unimodal_forms).
     """
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    return n - _ceil_half(n) + 1
+    return len(breakpoint_range(n))
 
 
 def unimodal_forms(n: int) -> list[Permutation]:

@@ -23,7 +23,7 @@ from chainperm import (
 from chainperm.chains import _chain_predicate
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
-from helpers import all_words, scan_chain_avoids, scan_count_chain
+from helpers import all_words, scan_chain_avoids, scan_contains, scan_count_chain
 from strategies import chain_levels, pattern_words
 
 TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
@@ -118,11 +118,23 @@ def test_refinement_sums_to_total():
 def test_count_agrees_with_scan_oracle(root_walks, block_counts):
     for chain in TABLE_CHAINS:
         count_chain(8, chain)
-        levels = chain.levels
-        for n in range(1, 9):
+    for n in range(1, 9):
+        # Every table chain lists 312 or 231 first, and a word that contains
+        # it fails the chain at level 1: each word is scanned for each head
+        # pattern once, and only the survivors for the whole chain.
+        survivors = {
+            head: [w for w in all_words(n) if not scan_contains(w, head)]
+            for head in {c.levels[0][0] for c in TABLE_CHAINS}
+        }
+        for chain in TABLE_CHAINS:
+            candidates = survivors[chain.levels[0][0]]
+            avoiders = [w for w in candidates if scan_chain_avoids(w, chain.levels)]
             ref = count_chain(n, chain)
             assert (ref.n, ref.chain) == (n, chain)
-            assert (ref.total, ref.by_position_of_one) == scan_count_chain(n, levels), (chain, n)
+            assert (ref.total, ref.by_position_of_one) == (
+                len(avoiders),
+                split_by_position_of_one(avoiders, n),
+            ), (chain, n)
     assert len(block_counts) == len(TABLE_CHAINS)
     assert root_walks == []
 
@@ -147,8 +159,7 @@ def test_tree_matches_brute_force_for_table_chains():
 
 def test_table_chains_prune_and_match_the_level1_walk():
     for chain in TABLE_CHAINS:
-        square = chain.levels[1][0]
-        assert enumeration._pruned_square(chain.levels) == square
+        assert enumeration._strong_side(chain.levels) is (chain.levels[1][0] == (3, 1, 2))
         count_chain(12, chain)
         got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
         assert got == splits_by_size(level1_walk(chain, 12), 12), chain
@@ -176,17 +187,17 @@ def test_block_counts_hold_the_closed_forms_far_out():
 
 
 def test_only_two_level_strong_chains_prune():
-    def square(text):
-        return enumeration._pruned_square(parse_chain(text).levels)
+    def side(text):
+        return enumeration._strong_side(parse_chain(text).levels)
 
-    assert square("312:312") == (3, 1, 2)
-    assert square("2143,312:312") == (3, 1, 2)
-    assert square("312,231:231") == (2, 3, 1)
+    assert side("312:312") is True
+    assert side("2143,312:312") is True
+    assert side("312,231:231") is False
     for text in (
         "312:312:312", "231:231:231", "312", "312:123", "312:231", "231:312",
         "123:312", "312:312,123", "3124:312", "13245:2143:312",
     ):
-        assert square(text) is None, text
+        assert side(text) is None, text
 
 
 def test_strong_avoiders_are_closed_under_deleting_the_extreme():
@@ -245,7 +256,7 @@ def test_tree_matches_brute_force_on_random_chains(levels, n):
 def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where, n):
     enumeration._COUNTS.clear()
     chain = ChainSpec([others[:where] + [square] + others[where:], [square]])
-    assert enumeration._pruned_square(chain.levels) == square
+    assert enumeration._strong_side(chain.levels) is (square == (3, 1, 2))
     oracle = level1_walk(chain, n)
     walked = list(walk_chain_avoiders(n, chain))
     assert sorted(walked) == sorted(oracle)

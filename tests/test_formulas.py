@@ -1,5 +1,7 @@
 """Closed forms: sequence helpers, the nine-row table, evaluation."""
 
+from pathlib import Path
+
 import pytest
 
 from chainperm import (
@@ -20,7 +22,7 @@ ALL_TAGS = ("T31", "T32", "T33", "T34", "T35", "T41", "T42", "T43", "T44")
 def test_fibonacci_values():
     assert [fibonacci(n) for n in range(1, 9)] == [1, 2, 3, 5, 8, 13, 21, 34]
     assert fibonacci(6) == 13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fibonacci is defined for n >= 1$"):
         fibonacci(0)
 
 
@@ -28,7 +30,7 @@ def test_lucas_values():
     assert [lucas(n) for n in range(1, 9)] == [1, 3, 4, 7, 11, 18, 29, 47]
     assert lucas(2) == 3
     assert lucas(5) == 11
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lucas is defined for n >= 1$"):
         lucas(0)
 
 
@@ -75,6 +77,22 @@ def test_table_chains():
     t33 = formula_by_tag("T33")
     assert t33.chain_231.text() == "231,132:231"
     assert t33.chain_312.text() == "312,213:312"
+
+
+def test_readme_formula_table_matches_the_package():
+    # The rows of the table under "## The formula table" in README.md:
+    # tag, both chains and valid_from, as the package stores them.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## The formula table", 1)[1].split("\n#", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| T")
+    ]
+    assert [(tag, left, right, int(valid_from)) for tag, left, right, _, valid_from in rows] == [
+        (row.tag, row.chain_231.text(), row.chain_312.text(), row.valid_from)
+        for row in formula_table()
+    ]
 
 
 def test_unknown_tag():

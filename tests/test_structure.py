@@ -36,9 +36,13 @@ def test_build_unimodal_examples():
 def test_build_unimodal_rejects_bad_breakpoints():
     with pytest.raises(ValueError, match="k >= n/2"):
         build_unimodal(5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         build_unimodal(5, 6)
-    with pytest.raises(ValueError):
+    assert str(refused.value) == (
+        "breakpoint k=6 is outside the admissible range for n=5: "
+        "k >= n/2 and k <= n, i.e. 3 <= k <= 5"
+    )
+    with pytest.raises(ValueError, match=r"^size must be >= 1$"):
         build_unimodal(0, 0)
 
 
@@ -86,7 +90,7 @@ def test_count_breakpoints_values():
     assert count_breakpoints(8) == 5
     for n in range(1, 30):
         assert count_breakpoints(n) == len(breakpoint_range(n))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^size must be >= 1$"):
         count_breakpoints(0)
 
 
