@@ -1,9 +1,9 @@
 """Closed forms for the nine built-in chain-avoidance counts.
 
 Each table row pairs two chains with equal counts (they are reverse
-complements of each other) and the exact formula for that count.  All
-arithmetic is integer only; the divisions in T42, T43 and T44 are exact
-and checked.
+complements of each other) and the exact formula for that count, and
+evaluate answers only for rows of the table.  All arithmetic is integer
+only; the divisions in T42, T43 and T44 are exact and checked.
 """
 
 from typing import Callable
@@ -70,10 +70,6 @@ def _t33(n: int) -> int:
     return k * k + k + 1 if odd else k * k + 1
 
 
-def _t41(n: int) -> int:
-    return lucas(n + 1) - _ceil_half(n) - 1
-
-
 def _t42(n: int) -> int:
     k, odd = divmod(n, 2)
     if odd:
@@ -86,6 +82,12 @@ def _t43(n: int) -> int:
     if odd:
         return _exact_div(4 * k**3 + 9 * k**2 + 5 * k, 6) + 1
     return _exact_div(4 * k**3 + 3 * k**2 - k, 6) + 1
+
+
+# The statements that two rows share, T33 with T35 and T43 with T44: the
+# description and the closed form.
+_T33 = ("k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33)
+_T43 = ("(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43)
 
 
 class FormulaId(Frozen):
@@ -105,12 +107,7 @@ class FormulaId(Frozen):
     description: str
 
     def __init__(
-        self,
-        tag: str,
-        chain_231: ChainSpec,
-        chain_312: ChainSpec,
-        valid_from: int,
-        description: str,
+        self, tag: str, chain_231: ChainSpec, chain_312: ChainSpec, valid_from: int, description: str
     ) -> None:
         if chain_312 != chain_231.reverse_complement():
             raise ValueError(f"{tag}: the two chains must be reverse complements")
@@ -128,34 +125,34 @@ class FormulaId(Frozen):
 _ROWS = (
     ("T31", "123", "123", 3, "2n - 3", lambda n: 2 * n - 3),
     ("T32", "321", "321", 1, "F(n) with F(1)=1, F(2)=2", fibonacci),
-    ("T33", "132", "213", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33),
+    ("T33", "132", "213", 1, *_T33),
     ("T34", "312", "231", 1, "2^(n - 1)", lambda n: 2 ** (n - 1)),
-    ("T35", "213", "132", 1, "k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33),
-    ("T41", "1432", "3214", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3", _t41),
+    ("T35", "213", "132", 1, *_T33),
+    ("T41", "1432", "3214", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3",
+     lambda n: lucas(n + 1) - _ceil_half(n) - 1),
     ("T42", "1423", "2314", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1", _t42),
-    ("T43", "1243", "2134", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43),
-    ("T44", "2143", "2143", 1, "(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43),
+    ("T43", "1243", "2134", 1, *_T43),
+    ("T44", "2143", "2143", 1, *_T43),
 )
 
-_EVALUATORS: dict[str, Callable[[int], int]] = {row[0]: row[-1] for row in _ROWS}
-
-_TABLE = tuple(
+# Each row of the table and the closed form it claims, in tag order.
+_CLAIMS: dict[FormulaId, Callable[[int], int]] = {
     FormulaId(
         tag=tag,
         chain_231=parse_chain(f"231,{side_231}:231"),
         chain_312=parse_chain(f"312,{side_312}:312"),
         valid_from=valid_from,
         description=description,
-    )
-    for tag, side_231, side_312, valid_from, description, _ in _ROWS
-)
+    ): form
+    for tag, side_231, side_312, valid_from, description, form in _ROWS
+}
 
-_BY_TAG = {row.tag: row for row in _TABLE}
+_BY_TAG = {row.tag: row for row in _CLAIMS}
 
 
 def formula_table() -> list[FormulaId]:
     """All nine rows, in tag order."""
-    return list(_TABLE)
+    return list(_CLAIMS)
 
 
 def formula_by_tag(tag: str) -> FormulaId:
@@ -170,11 +167,17 @@ def formula_by_tag(tag: str) -> FormulaId:
 def evaluate(formula: FormulaId, n: int) -> int:
     """The exact count the row predicts at size n.
 
+    formula must be a row of the table, as formula_table and
+    formula_by_tag give it; any other FormulaId is refused.
+
     >>> evaluate(formula_by_tag("T34"), 6)
     32
     """
+    form = _CLAIMS.get(formula)
+    if form is None:
+        raise ValueError(f"{formula.tag}: not a row of the formula table")
     if n < formula.valid_from:
         raise ValueError(
             f"{formula.tag} is stated for n >= {formula.valid_from}, got n={n}"
         )
-    return _EVALUATORS[formula.tag](n)
+    return form(n)

@@ -518,6 +518,21 @@ def test_readme_package_names_are_exported():
     assert sorted(names - set(chainperm.__all__)) == []
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    # The suite may run on a newer Python than the floor, so parse every
+    # source as the oldest Python that pyproject.toml admits would.
+    requires = declared_project()["requires-python"]
+    floor = re.fullmatch(r">=\s*(\d+)\.(\d+)", requires)
+    assert floor, requires
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted((PYPROJECT.parent / "src").rglob("*.py")) + sorted(
+        (PYPROJECT.parent / "tests").rglob("*.py")
+    )
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
 def test_tracer_names_exist_in_cli():
     # perfbench/run.py --trace 1 replaces these chainperm.cli names by wrappers.
     tracing = load_tracing()
@@ -582,15 +597,19 @@ def describe(result):
     return f"exit code {result.returncode}, stderr:\n{result.stderr}"
 
 
-def declared_entry_point(name):
-    """Split the ``[project.scripts]`` target of ``name`` into module and attribute."""
+def declared_project():
+    """The ``[project]`` table of pyproject.toml."""
     try:
         import tomllib
     except ModuleNotFoundError:
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as handle:
-        target = tomllib.load(handle)["project"]["scripts"][name]
-    module, _, attr = target.partition(":")
+        return tomllib.load(handle)["project"]
+
+
+def declared_entry_point(name):
+    """Split the ``[project.scripts]`` target of ``name`` into module and attribute."""
+    module, _, attr = declared_project()["scripts"][name].partition(":")
     return module, attr
 
 

@@ -136,14 +136,38 @@ def test_evaluate_t41_beats_the_old_tabulated_value():
 
 
 def test_evaluate_below_valid_from():
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match=r"^T31 is stated for n >= 3, got n=2$"):
         evaluate(formula_by_tag("T31"), 2)
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match=r"^T42 is stated for n >= 2, got n=1$"):
         evaluate(formula_by_tag("T42"), 1)
+
+
+def test_evaluate_answers_only_for_table_rows():
+    t41 = formula_by_tag("T41")
+    rebuilt = FormulaId(
+        tag="T41",
+        chain_231=parse_chain("231,1432:231"),
+        chain_312=parse_chain("312,3214:312"),
+        valid_from=1,
+        description=t41.description,
+    )
+    assert rebuilt is not t41
+    assert evaluate(rebuilt, 8) == 71
+    unknown = FormulaId("X", parse_chain("231:231"), parse_chain("312:312"), 1, "")
+    with pytest.raises(ValueError, match=r"^X: not a row of the formula table$"):
+        evaluate(unknown, 5)
+    # A table tag on chains of no row claims nothing.
+    t34 = formula_by_tag("T34")
+    other = FormulaId(
+        "T34", parse_chain("231,4321:231"), parse_chain("312,4321:312"), 1, t34.description
+    )
+    with pytest.raises(ValueError, match=r"^T34: not a row of the formula table$"):
+        evaluate(other, 5)
 
 
 def test_twin_tags_share_values():
     for a, b in (("T33", "T35"), ("T43", "T44")):
+        assert formula_by_tag(a).description == formula_by_tag(b).description
         for n in range(1, 61):
             assert evaluate(formula_by_tag(a), n) == evaluate(formula_by_tag(b), n)
 
