@@ -132,8 +132,10 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     loop over the word that reads the power in place, as x, p[x], p[p[x]]
     and so on with p the word shifted to 1-based indexing, and runs its
     kernel (patterns._KERNELS) on each entry: one O(n) pass that builds
-    nothing.  A longer pattern runs its compiled search (patterns._matcher)
-    on its power, built as a tuple at most once per word and depth.
+    nothing.  A backward kernel reads the power in place too, from the last
+    position to the first.  A longer pattern runs its compiled search
+    (patterns._matcher) on its power, built as a tuple at most once per word
+    and depth.
 
     The source holds only the fixed lines of the kernels, depths and check
     numbers; each search reaches it through the namespace.  So a pattern of
@@ -152,9 +154,10 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
         if len(pattern) == 3:
             if pattern not in _KERNELS:
                 raise ValueError(f"a pattern must be a permutation of 1..3: {pattern!r}")
-            begin, step = _KERNELS[pattern]
-            lines += ["    " + line for line in begin]
-            lines += ["    for x in w:", f"        v = {entry}"] if depth else ["    for v in w:"]
+            (begin, step), backward = _KERNELS[pattern]
+            word = "reversed(w)" if backward else "w"
+            head = (f"for x in {word}:", f"    v = {entry}") if depth else (f"for v in {word}:",)
+            lines += ["    " + line for line in begin + head]
             lines += ["        " + line for line in step]
             continue
         if depth not in built:

@@ -218,64 +218,42 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     return rows, problems
 
 
+# Each subcommand's name, function, default --n-max and help line.
+_COMMANDS = (
+    ("count", cmd_count, 9, "exact totals for one chain"),
+    ("verify", cmd_verify, 8, "check closed forms against exact counts"),
+    ("structure", cmd_structure, 9, "check the unimodal shape of strong 312 avoiders ending in 1"),
+    ("symmetry", cmd_symmetry, 8, "check that mirrored chains have equal counts"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="chainperm",
-        description="Exact-count verification of chain pattern avoidance counts.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
-    common.add_argument("--out", help="write the report to this file instead of stdout")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: all cores); only count of a chain whose "
-        "tree is walked can open a pool, so verify, symmetry and structure run "
-        "the same with any value",
-    )
-    common.add_argument(
-        "--force",
-        action="store_true",
-        help="allow sizes above the enumeration bound",
+        prog="chainperm", description="Exact-count verification of chain pattern avoidance counts."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser(
-        "count", parents=[common], help="exact totals for one chain"
+    for name, func, n_max, summary in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        add = command.add_argument
+        add("--format", choices=("csv", "json"), default="csv", help="report format")
+        add("--out", help="write the report to this file instead of stdout")
+        add(
+            "--jobs",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="worker processes (default: all cores); only count of a chain whose "
+            "tree is walked can open a pool, so verify, symmetry and structure run "
+            "the same with any value",
+        )
+        add("--force", action="store_true", help="allow sizes above the enumeration bound")
+        add("--n-max", type=int, default=n_max, help="largest size to report")
+    sub.choices["count"].add_argument(
+        "--chain", required=True, help="chain text, e.g. '312,231:312'"
     )
-    count.add_argument("--chain", required=True, help="chain text, e.g. '312,231:312'")
-    count.add_argument("--n-max", type=int, default=9, help="largest size to count")
-    count.set_defaults(func=cmd_count)
-
-    verify = sub.add_parser(
-        "verify", parents=[common], help="check closed forms against exact counts"
+    sub.choices["verify"].add_argument(
+        "--tags", default="all", help="comma-separated formula tags, or 'all' (default)"
     )
-    verify.add_argument(
-        "--tags",
-        default="all",
-        help="comma-separated formula tags, or 'all' (default)",
-    )
-    verify.add_argument("--n-max", type=int, default=8, help="largest size to check")
-    verify.set_defaults(func=cmd_verify)
-
-    structure = sub.add_parser(
-        "structure",
-        parents=[common],
-        help="check the unimodal shape of strong 312 avoiders ending in 1",
-    )
-    structure.add_argument("--n-max", type=int, default=9, help="largest size to check")
-    structure.set_defaults(func=cmd_structure)
-
-    symmetry = sub.add_parser(
-        "symmetry",
-        parents=[common],
-        help="check that mirrored chains have equal counts",
-    )
-    symmetry.add_argument("--n-max", type=int, default=8, help="largest size to check")
-    symmetry.set_defaults(func=cmd_symmetry)
     return parser
 
 

@@ -16,12 +16,12 @@ enumeration.py the free slots for a new maximum in O(n), from the sides
 and the order of the two entries beside the pattern's 3.  Whether a word
 contains one of them is decided in O(n) too, by a kernel that the chain
 predicate of chains.py writes into its source and runs on each power in
-place, left to right, stopping at the first occurrence.  Three kernels are
-written out: 231 by a stack that sorts, 312 by a stack that realises, 123
-by two running minima.  The other three patterns are their complements,
-decided by the same source with every comparison flipped and the starting
-bounds swapped, so no word is ever reversed.  The compiled search stays
-the one generic path for every other length.
+place, stopping at the first occurrence.  Three kernels are written out:
+231 by a stack that sorts, 312 by a bit set of the values that would
+complete one, 123 by two running minima.  The other three patterns are
+their reverses, decided by the same kernels reading the power from its
+last entry to its first, so no reversed word is ever built.  The compiled
+search stays the one generic path for every other length.
 """
 
 import operator
@@ -215,80 +215,63 @@ def _length3_rule(
 # The containment kernels of the patterns of length 3, as source for the
 # chain predicate of chains.py: the lines that start the pass, and the lines
 # run on each entry v of the word, which return False at the first
-# occurrence.  Each names its comparisons {lt} and its starting bounds {low}
-# (below every entry) and {high} (above every entry), n being the length of
-# the word.
+# occurrence, n being the length of the word.
 #
 # 231: one pass through a stack, which sorts exactly the words that avoid
 # 231 (Knuth, TAOCP vol. 1, 2.2.1).  An entry popped by a larger later one
 # is the "2" and its popper the "3", so any entry after them that lies below
 # the last popped entry completes a 231.
 _STACK_SORT = (
-    ("s = []", "floor = {low}"),
+    ("s = []", "floor = 0"),
     (
-        "if v {lt} floor:",
+        "if v < floor:",
         "    return False",
-        "while s and s[-1] {lt} v:",
+        "while s and s[-1] < v:",
         "    floor = s.pop()",
         "s.append(v)",
     ),
 )
-# 312: a stack fed 1, 2, ..., n can output exactly the words that avoid 312
-# (Knuth, 2.2.1).  Every value below the running maximum top is on the
-# stack, so an entry v below top must be the top of the stack: every value
-# between v and top has come out before it, and none may come after.  s
-# lists the ends v < top of those intervals in increasing order, dropping
-# the ones a new interval holds; an entry inside one, with an odd number of
-# ends below it, completes a 312 with that interval's ends.
-_STACK_REALISE = (
-    ("s = []", "top = {low}"),
+# 312: bit u of bad is set when u lies strictly between an entry v and the
+# running maximum top before it, which are then the "1" and the "3" of a
+# 312 that u would complete.  The largest entry before v gives the widest
+# interval, so an entry completes a 312 exactly when its bit is set.
+_INTERVAL_BITS = (
+    ("top = bad = 0",),
     (
-        "if top {lt} v:",
+        "if top < v:",
         "    top = v",
+        "elif bad >> v & 1:",
+        "    return False",
         "else:",
-        "    while s and v {lt} s[-1]:",
-        "        s.pop()",
-        "    if len(s) & 1:",
-        "        return False",
-        "    s.append(v)",
-        "    s.append(top)",
+        "    bad |= (1 << top) - (2 << v)",
     ),
 )
 # 123: two running minima, the least entry so far and the least one that
 # has a smaller one before it.  An entry above the second completes a 123.
 _TWO_MINIMA = (
-    ("least = second = {high}",),
+    ("least = second = n + 1",),
     (
-        "if second {lt} v:",
+        "if second < v:",
         "    return False",
-        "if least {lt} v:",
+        "if least < v:",
         "    second = v",
         "else:",
         "    least = v",
     ),
 )
 
-
-def _kernel_source(
-    template: tuple[tuple[str, ...], tuple[str, ...]], flip: bool
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A kernel's lines for its base pattern, or with flip for the base's
-    complement: a word contains the complement exactly when its complement
-    contains the base, which is the same pass with every comparison
-    flipped and the bounds swapped."""
-    names = dict(lt=">", low="n + 1", high="0") if flip else dict(lt="<", low="0", high="n + 1")
-    return tuple(tuple(line.format(**names) for line in part) for part in template)
-
-
-# The kernel of each pattern of length 3: (start lines, lines per entry v).
+# The kernel of each pattern of length 3, ((start lines, lines per entry v),
+# backward).  A word contains a pattern exactly when its reverse contains
+# the reversed pattern, so 132, 213 and 321 run the kernels of 231, 312 and
+# 123 on the entries from the last to the first.
 _KERNELS = {
-    tuple(4 - v for v in base) if flip else base: _kernel_source(template, flip)
-    for base, template in (
+    pattern: (kernel, backward)
+    for base, kernel in (
         ((2, 3, 1), _STACK_SORT),
-        ((3, 1, 2), _STACK_REALISE),
+        ((3, 1, 2), _INTERVAL_BITS),
         ((1, 2, 3), _TWO_MINIMA),
     )
-    for flip in (False, True)
+    for pattern, backward in ((base, False), (base[::-1], True))
 }
 
 

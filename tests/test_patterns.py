@@ -203,6 +203,30 @@ def test_length3_kernel_agrees_with_scan_oracle(pattern):
                 power = compose_words(word, power)
 
 
+@pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
+def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
+    # Avoiders of sizes 65-80, grown by inserting the maximum at a random
+    # free slot, hold values past bit 63 of the 312 kernel's bit set and
+    # are read backward far beyond the exhaustive sizes.  Swapping one
+    # adjacent pair of a copy may complete an occurrence, or may not.
+    rng = random.Random("".join(map(str, pattern)))
+    rule = _length3_rule(pattern)
+    avoids_pattern = _chain_predicate(((pattern,),))
+    word, outcomes = (), set()
+    for size in range(1, 81):
+        i = rng.choice(list(rule(word)))
+        word = word[:i] + (size,) + word[i:]
+        if size < 65:
+            continue
+        j = rng.randrange(size - 1)
+        swapped = word[:j] + (word[j + 1], word[j]) + word[j + 2 :]
+        for w in (word, swapped):
+            found = contains(Permutation(w), Pattern(pattern))
+            assert avoids_pattern(w) != found, w
+            outcomes.add(found)
+    assert outcomes == {False, True}
+
+
 def test_chain_predicate_is_built_only_from_permutations(monkeypatch):
     # The predicate is compiled from source chosen by each pattern, so
     # anything but a permutation of 1..k is refused before any source, the
