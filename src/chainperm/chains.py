@@ -104,11 +104,11 @@ Predicate = Callable[[tuple[int, ...]], bool]
 
 
 def _cost(check: Check) -> tuple[bool, int, int]:
-    """The order of the checks: every pattern of length 3 first, then the
-    compiled searches by pattern length; the lower depth first among
-    equals."""
+    """The order of the checks: every pattern with a kernel (see
+    patterns._KERNELS) first, then the compiled searches by pattern length;
+    the lower depth first among equals."""
     depth, pattern = check
-    return len(pattern) != 3, len(pattern), depth
+    return pattern not in _KERNELS, len(pattern), depth
 
 
 def _checks(levels: LevelValues, start: int = 0) -> tuple[Check, ...]:
@@ -128,20 +128,19 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     The function returned takes a raw word and returns False at the first
     check whose power of the word contains its pattern, else True.  Any
     check that fails rejects the word, so their order, cheapest first (see
-    _cost), changes only the cost.  A pattern of length 3 becomes one for
-    loop over the word that reads the power in place, as x, p[x], p[p[x]]
-    and so on with p the word shifted to 1-based indexing, and runs its
-    kernel (patterns._KERNELS) on each entry: one O(n) pass that builds
-    nothing.  A backward kernel reads the power in place too, from the last
-    position to the first.  A longer pattern runs its compiled search
-    (patterns._matcher) on its power, built as a tuple at most once per word
-    and depth.
+    _cost), changes only the cost.  A pattern with a record in
+    patterns._KERNELS, one of the six of length 3, becomes one for loop
+    over the word that reads the power in place, as x, p[x], p[p[x]] and so
+    on with p the word shifted to 1-based indexing, and runs its kernel on
+    each entry: one O(n) pass that builds nothing.  A backward kernel reads
+    the power in place too, from the last position to the first.  Any other
+    pattern runs its compiled search (patterns._matcher) on its power, built
+    as a tuple at most once per word and depth.
 
     The source holds only the fixed lines of the kernels, depths and check
-    numbers; each search reaches it through the namespace.  So a pattern of
-    length 3 must be a key of _KERNELS, and _matcher refuses any other
-    pattern that is not a permutation of 1..k with k >= 1, before the
-    source is compiled.
+    numbers; each search reaches it through the namespace.  So every
+    pattern without a record goes to _matcher, which refuses it unless it
+    is a permutation of 1..k with k >= 1, before the source is compiled.
     """
     checks = _checks(levels, start)
     lines = ["def avoids(w):", "    n = len(w)"]
@@ -151,10 +150,8 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     built = {0}
     for c, (depth, pattern) in enumerate(checks):
         entry = "p[" * depth + "x" + "]" * depth
-        if len(pattern) == 3:
-            if pattern not in _KERNELS:
-                raise ValueError(f"a pattern must be a permutation of 1..3: {pattern!r}")
-            (begin, step), backward = _KERNELS[pattern]
+        if pattern in _KERNELS:
+            (begin, step), _, backward = _KERNELS[pattern]
             word = "reversed(w)" if backward else "w"
             head = (f"for x in {word}:", f"    v = {entry}") if depth else (f"for v in {word}:",)
             lines += ["    " + line for line in begin + head]

@@ -8,9 +8,10 @@ into one of its n slots: the avoiders form a generating tree (J. West,
 Generating trees and the Catalan and Schroder numbers, Discrete Math.
 146, 1995), walked here depth first.  A child is kept when no level-1
 occurrence passes through the inserted maximum, the only kind it can
-add.  For a pattern of length 3 one O(n) pass over the node gives the
-slots where that holds, its active sites (see patterns._length3_rule);
-the compiled pinned search of patterns._matcher runs only for longer
+add.  For a pattern with a record in patterns._KERNELS, one of the six
+of length 3, one O(n) pass over the node gives the slots where that
+holds, its active sites (the record's rule, see patterns._length3_rule);
+the compiled pinned search of patterns._matcher runs only for the other
 patterns, and only on those slots.  One walk to n counts every size up
 to n; count_chain keeps those counts per chain for the life of the
 process, and walk_chain_avoiders streams the words of every size.
@@ -20,7 +21,7 @@ deleting the maximum, so for most chains the nodes at depth m are the
 level-1 avoiders of size m, and the deeper levels only decide which of
 them the walk yields.  They are checked by one function compiled per
 chain (see chains._chain_predicate), which runs in order of cost, not
-of level: first each pattern of length 3, in one O(n) pass that reads
+of level: first each pattern with a kernel, in one O(n) pass that reads
 its power of the node in place, then the compiled searches, shortest
 pattern first, each on its power built once as a tuple.  A child of the
 last size n is never grown, so it is decided in full when it is built,
@@ -412,7 +413,7 @@ def _grow(
     levels."""
     pruned = _strong_side(levels) is True
     rules = [rule for rule in map(_length3_rule, levels[0]) if rule is not None]
-    rejects = [_matcher(p, pinned=True) for p in levels[0] if len(p) != 3]
+    rejects = [_matcher(p, pinned=True) for p in levels[0] if _length3_rule(p) is None]
     deeper = _chain_predicate(levels, 1) if len(levels) > 1 else None
     stack = list(nodes)
     while stack:

@@ -11,21 +11,23 @@ all run it.  Its pinned form looks only at occurrences that put the
 pattern's maximum at a given index: the ones that inserting a maximum in
 the generating tree of enumeration.py can create.
 
-Patterns of length 3 also have a _length3_rule, which gives the tree of
-enumeration.py the free slots for a new maximum in O(n), from the sides
-and the order of the two entries beside the pattern's 3.  Whether a word
-contains one of them is decided in O(n) too, by a kernel that the chain
-predicate of chains.py writes into its source and runs on each power in
-place, stopping at the first occurrence.  Three kernels are written out:
-231 by a stack that sorts, 312 by a bit set of the values that would
-complete one, 123 by two running minima.  The other three patterns are
-their reverses, decided by the same kernels reading the power from its
-last entry to its first, so no reversed word is ever built.  The compiled
-search stays the one generic path for every other length.
+Each of the six patterns of length 3 has one record in _KERNELS, which
+alone decides which patterns get O(n) machinery.  Its insertion rule
+(see _length3_rule) gives the tree of enumeration.py the free slots for a
+new maximum in O(n), and its kernel, which the chain predicate of
+chains.py writes into its source and runs on each power in place,
+decides whether a word contains the pattern in O(n) too, stopping at the
+first occurrence.  Three bases are written out, each keeping its state
+in ints: 231 by a bit set of the entries so far and the floor no later
+entry may fall below, 312 by a bit set of the values that would complete
+one, 123 by two running minima.  The other
+three patterns are their reverses, whose kernels and rules read the word
+from its last entry to its first, so no reversed word is ever built for
+a kernel.  The compiled search stays the one generic path for every
+other pattern.
 """
 
-import operator
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -58,6 +60,9 @@ def parse_pattern(text: str) -> Pattern:
 _SLOTS_PER_FUNCTION = 16
 
 Matcher = Callable[..., tuple[int, ...] | None]
+
+# An insertion rule: the free slots of a word (see _length3_rule).
+Rule = Callable[[tuple[int, ...]], Iterable[int]]
 
 
 @lru_cache(maxsize=None)
@@ -153,82 +158,61 @@ def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
     return namespace["_m0"]
 
 
-def _same(word: tuple[int, ...]) -> tuple[int, ...]:
-    return word
+def _free_at_cuts(word: tuple[int, ...]) -> list[int]:
+    """The slots i at which the first i entries of word are 1, ..., i,
+    which is when the running maximum reaches i: then each entry before the
+    slot lies below each entry after it."""
+    return [0] + [i for i, top in enumerate(accumulate(word, max), 1) if top == i]
 
 
-def _complement(word: tuple[int, ...]) -> Iterable[int]:
-    return map((len(word) + 1).__sub__, word)
-
-
-def _free_before_run(ok: Callable[[int, int], bool], word: tuple[int, ...]) -> range:
-    """The slots i at which each step a, b of word[:i] has ok(a, b): those
-    up to the end of the word's first such run."""
-    i = 1
-    while i < len(word) and ok(word[i - 1], word[i]):
-        i += 1
-    return range(min(i, len(word)) + 1)
-
-
-def _free_after_run(ok: Callable[[int, int], bool], word: tuple[int, ...]) -> range:
-    """The slots i at which each step a, b of word[i:] has ok(a, b): those
-    from the start of the word's last such run on."""
+def _free_after_run(word: tuple[int, ...]) -> range:
+    """The slots i at which word[i:] decreases: those from the start of the
+    word's last decreasing run on."""
     i = len(word) - 1
-    while i > 0 and ok(word[i - 1], word[i]):
+    while i > 0 and word[i - 1] > word[i]:
         i -= 1
     return range(max(i, 0), len(word) + 1)
 
 
-def _free_at_cuts(
-    view: Callable[[tuple[int, ...]], Iterable[int]], word: tuple[int, ...]
-) -> list[int]:
-    """The slots i at which the first i entries of view(word) are 1, ..., i,
-    which is when the running maximum of view(word) reaches i: then each
-    entry before the slot lies below each entry after it.  view is _same,
-    or _complement to ask for above instead."""
-    return [0] + [i for i, top in enumerate(accumulate(view(word), max), 1) if top == i]
+def _free_before_run(word: tuple[int, ...]) -> range:
+    """The slots i at which word[:i] decreases: those up to the end of the
+    word's first decreasing run."""
+    i = 1
+    while i < len(word) and word[i - 1] > word[i]:
+        i += 1
+    return range(min(i, len(word)) + 1)
 
 
-def _length3_rule(
-    pattern: tuple[int, ...]
-) -> Callable[[tuple[int, ...]], Iterable[int]] | None:
-    """The O(n) insertion rule of a pattern of length 3, or None for any
-    other length.  Called on any word, the rule gives the slots
-    0..len(word) at which inserting a new maximum completes no occurrence.
+def _backward(rule: Rule) -> Rule:
+    """The rule of the reversed pattern: rule runs on the reversed word, and
+    its slot i there is slot len(word) - i here, given in ascending order."""
 
-    An inserted maximum can only play the pattern's 3.  The rule follows
-    from the sides of the 3 that the other two entries sit on, and from
-    whether they rise or fall; the maximum is free where no two entries
-    on those sides step that way.
-    """
-    if len(pattern) != 3:
-        return None
-    top = pattern.index(3)
-    first, second = (v for v in pattern if v != 3)
-    rises = first < second
-    if top == 1:
-        return partial(_free_at_cuts, _complement if rises else _same)
-    run = _free_after_run if top == 0 else _free_before_run
-    return partial(run, operator.gt if rises else operator.lt)
+    def free(word: tuple[int, ...]) -> list[int]:
+        n = len(word)
+        return [n - i for i in reversed(rule(word[::-1]))]
+
+    return free
 
 
 # The containment kernels of the patterns of length 3, as source for the
 # chain predicate of chains.py: the lines that start the pass, and the lines
 # run on each entry v of the word, which return False at the first
-# occurrence, n being the length of the word.
+# occurrence, n being the length of the word.  Each keeps its state in ints.
 #
-# 231: one pass through a stack, which sorts exactly the words that avoid
-# 231 (Knuth, TAOCP vol. 1, 2.2.1).  An entry popped by a larger later one
-# is the "2" and its popper the "3", so any entry after them that lies below
-# the last popped entry completes a 231.
+# 231: bit u of seen is set when u came before, and floor is the largest
+# entry with a larger one after it so far, the "2" of a 231 that any later
+# entry below it completes.  After an entry v that completes none, floor
+# is the largest seen entry below v, never below the old floor, which is
+# itself a seen entry below v.  It is the last entry popped by the stack
+# that sorts exactly the words avoiding 231 (Knuth, TAOCP vol. 1, 2.2.1),
+# kept without the stack.
 _STACK_SORT = (
-    ("s = []", "floor = 0"),
+    ("seen = floor = 0",),
     (
         "if v < floor:",
         "    return False",
-        "while s and s[-1] < v:",
-        "    floor = s.pop()",
-        "s.append(v)",
+        "seen |= 1 << v",
+        "floor = (seen & ((1 << v) - 1)).bit_length() - 1",
     ),
 )
 # 312: bit u of bad is set when u lies strictly between an entry v and the
@@ -260,19 +244,36 @@ _TWO_MINIMA = (
     ),
 )
 
-# The kernel of each pattern of length 3, ((start lines, lines per entry v),
-# backward).  A word contains a pattern exactly when its reverse contains
-# the reversed pattern, so 132, 213 and 321 run the kernels of 231, 312 and
-# 123 on the entries from the last to the first.
+# The record of each pattern of length 3: (kernel, rule, backward), the
+# kernel being (start lines, lines per entry v).  A word contains a pattern
+# exactly when its reverse contains the reversed pattern, so 132, 213 and
+# 321 run the kernels and rules of 231, 312 and 123 on the entries from the
+# last to the first.
 _KERNELS = {
-    pattern: (kernel, backward)
-    for base, kernel in (
-        ((2, 3, 1), _STACK_SORT),
-        ((3, 1, 2), _INTERVAL_BITS),
-        ((1, 2, 3), _TWO_MINIMA),
+    pattern: (kernel, _backward(rule) if backward else rule, backward)
+    for base, kernel, rule in (
+        ((2, 3, 1), _STACK_SORT, _free_at_cuts),
+        ((3, 1, 2), _INTERVAL_BITS, _free_after_run),
+        ((1, 2, 3), _TWO_MINIMA, _free_before_run),
     )
     for pattern, backward in ((base, False), (base[::-1], True))
 }
+
+
+def _length3_rule(pattern: tuple[int, ...]) -> Rule | None:
+    """The O(n) insertion rule of a pattern of length 3, or None for any
+    other pattern.  Called on any word, the rule gives the slots
+    0..len(word), in ascending order, at which inserting a new maximum
+    completes no occurrence.
+
+    An inserted maximum can only play the pattern's 3, so the rule follows
+    from the sides of the 3 that the other two entries sit on: 231 is free
+    where every entry before the slot lies below every entry after it, 312
+    where the entries after the slot decrease, 123 where those before it
+    do; the other three read the word backward.
+    """
+    record = _KERNELS.get(pattern)
+    return None if record is None else record[1]
 
 
 def contains(pi: Permutation, tau: Permutation) -> bool:

@@ -206,8 +206,10 @@ def test_length3_kernel_agrees_with_scan_oracle(pattern):
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
 def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
     # Avoiders of sizes 65-80, grown by inserting the maximum at a random
-    # free slot, hold values past bit 63 of the 312 kernel's bit set and
-    # are read backward far beyond the exhaustive sizes.  Swapping one
+    # free slot, hold values past bit 63 of the 231 and 312 kernels' bit
+    # sets and are read backward far beyond the exhaustive sizes.  Each
+    # grown word must avoid the pattern, which checks the insertion rule,
+    # backward for 132, 213 and 321, at those sizes too.  Swapping one
     # adjacent pair of a copy may complete an occurrence, or may not.
     rng = random.Random("".join(map(str, pattern)))
     rule = _length3_rule(pattern)
@@ -223,6 +225,7 @@ def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
         for w in (word, swapped):
             found = contains(Permutation(w), Pattern(pattern))
             assert avoids_pattern(w) != found, w
+            assert not found or w is swapped, w
             outcomes.add(found)
     assert outcomes == {False, True}
 
@@ -242,7 +245,8 @@ def test_chain_predicate_is_built_only_from_permutations(monkeypatch):
 
 
 def test_only_length3_patterns_have_a_rule():
-    for pattern in ((1,), (2, 1), *PATTERNS_4, (1, 3, 2, 5, 4)):
+    # A word of length 3 that is not a permutation has no record either.
+    for pattern in ((1,), (2, 1), (1, 1, 2), *PATTERNS_4, (1, 3, 2, 5, 4)):
         assert _length3_rule(pattern) is None
 
 
