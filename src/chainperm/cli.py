@@ -137,14 +137,15 @@ def _selected_formulas(tags_text: str):
 
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     formulas = [f for f in _selected_formulas(args.tags) if f.valid_from <= args.n_max]
-    chains = [c for f in formulas for c in (f.chain_231, f.chain_312)]
+    by_row = [(f, (f.chain_231, f.chain_312)) for f in formulas]
+    chains = [c for _, pair in by_row for c in pair]
     counts = _count_all(args, chains)
     texts = {chain: chain.text() for chain in chains}
     rows, problems = [], []
-    for formula in formulas:
+    for formula, pair in by_row:
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
-            for side, chain in (("231", formula.chain_231), ("312", formula.chain_312)):
+            for side, chain in zip(("231", "312"), pair):
                 got = counts[n, chain].total
                 rows.append(_row(n, texts[chain], got, expected, formula.tag))
                 if got != expected:
@@ -159,14 +160,14 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> Outcome:
-    formulas = formula_table()
-    counts = _count_all(args, [c for f in formulas for c in (f.chain_231, f.chain_312)])
+    by_row = [(f, (f.chain_231, f.chain_312)) for f in formula_table()]
+    counts = _count_all(args, [c for _, pair in by_row for c in pair])
     rows, problems = [], []
-    for formula in formulas:
-        text = formula.chain_231.text()
+    for formula, (chain_231, chain_312) in by_row:
+        text = chain_231.text()
         for n in range(1, args.n_max + 1):
-            left = counts[n, formula.chain_231].total
-            right = counts[n, formula.chain_312].total
+            left = counts[n, chain_231].total
+            right = counts[n, chain_312].total
             rows.append(_row(n, text, left, right, formula.tag))
             if left != right:
                 problems.append(
@@ -189,12 +190,13 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     # tests/test_cli.py::test_structure_report_matches_scan_oracle assume
     # neither: they scan every word that ends in 1 for n <= 9.
     counts = _count_all(args, [_CHAIN_312_312])
+    text = _CHAIN_312_312.text()
     rows, problems, witness = [], [], None
     for n, words in ending_in_1.items():
         classified = {
             w for w in words if classify_strong_312_ending_in_1(Permutation(w)) is not None
         }
-        rows.append(_row(n, "312:312", len(words), len(classified), refinement=breakpoint_range(n)))
+        rows.append(_row(n, text, len(words), len(classified), refinement=breakpoint_range(n)))
         forms = {form.values for form in unimodal_forms(n)}
         if classified != forms:
             problems.append(

@@ -248,35 +248,33 @@ def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
 
 
 class CountRefinement(Frozen):
-    """A chain-avoider count together with its split by the position of 1.
+    """A chain-avoider count, held as its split by the position of 1.
 
     by_position_of_one[i - 1] counts the avoiders whose value 1 sits at
-    position i, so the entries add up to the total.  The split is empty
-    only for n = 0, where no position holds a 1; the empty word is then
-    the one avoider, so the total is 1.
+    position i.  The size n is the split's length and the total its sum;
+    the split is empty only for n = 0, where no position holds a 1, and
+    the empty word is then the one avoider, so the total is 1.
     """
 
-    __slots__ = ("n", "chain", "total", "by_position_of_one")
+    __slots__ = ("chain", "by_position_of_one")
 
-    n: int
     chain: ChainSpec
-    total: int
     by_position_of_one: tuple[int, ...]
 
-    def __init__(
-        self, n: int, chain: ChainSpec, total: int, by_position_of_one: Iterable[int]
-    ) -> None:
+    def __init__(self, chain: ChainSpec, by_position_of_one: Iterable[int]) -> None:
         by_position_of_one = tuple(by_position_of_one)
-        if len(by_position_of_one) != n:
-            raise ValueError("refinement vector must have one entry per position")
         if min(by_position_of_one, default=0) < 0:
             raise ValueError("refinement entries must be >= 0")
-        if total != (sum(by_position_of_one) if n else 1):
-            raise ValueError("refinement entries must add up to the total, 1 for n = 0")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "total", total)
         object.__setattr__(self, "by_position_of_one", by_position_of_one)
+
+    @property
+    def n(self) -> int:
+        return len(self.by_position_of_one)
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_position_of_one) if self.by_position_of_one else 1
 
 
 def _strong_side(levels: LevelValues) -> bool | None:
@@ -544,7 +542,7 @@ def count_chain(
     """
     _check_size(n, force)
     if n == 0:
-        return CountRefinement(0, chain, 1, ())
+        return CountRefinement(chain, ())
     counts = _COUNTS.get(chain, ())
     if len(counts) < n:
         up = _strong_side(chain.levels)
@@ -552,10 +550,7 @@ def count_chain(
             splits = _walk(n, chain.levels, jobs)
         else:
             splits = _sum_of_blocks(n, chain.levels[0], up)
-        counts = tuple(
-            CountRefinement(size, chain, sum(split), tuple(split))
-            for size, split in enumerate(splits, start=1)
-        )
+        counts = tuple(CountRefinement(chain, split) for split in splits)
         _COUNTS[chain] = counts
     return counts[n - 1]
 

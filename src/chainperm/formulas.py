@@ -1,9 +1,10 @@
 """Closed forms for the nine built-in chain-avoidance counts.
 
-Each table row pairs two chains with equal counts (they are reverse
-complements of each other) and the exact formula for that count, and
-evaluate answers only for rows of the table.  All arithmetic is integer
-only; the divisions in T42, T43 and T44 are exact and checked.
+Each table row holds its chain on the 231 side and the exact formula
+for its count; the row's chain on the 312 side is the reverse complement,
+which has the same count.  evaluate answers only for rows of the table.
+All arithmetic is integer only; the divisions in T42, T43 and T44 are
+exact and checked.
 """
 
 from typing import Callable
@@ -93,58 +94,50 @@ _T43 = ("(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k
 class FormulaId(Frozen):
     """One row of the formula table.
 
-    chain_231 and chain_312 are reverse complements of each other and
-    count the same permutations; valid_from is the smallest n the closed
-    form covers.
+    chain_231 is the row's chain on the 231 side; chain_312, its reverse
+    complement, counts the same permutations.  valid_from is the smallest
+    n the closed form covers.
     """
 
-    __slots__ = ("tag", "chain_231", "chain_312", "valid_from", "description")
+    __slots__ = ("tag", "chain_231", "valid_from", "description")
 
     tag: str
     chain_231: ChainSpec
-    chain_312: ChainSpec
     valid_from: int
     description: str
 
-    def __init__(
-        self, tag: str, chain_231: ChainSpec, chain_312: ChainSpec, valid_from: int, description: str
-    ) -> None:
-        if chain_312 != chain_231.reverse_complement():
-            raise ValueError(f"{tag}: the two chains must be reverse complements")
+    def __init__(self, tag: str, chain_231: ChainSpec, valid_from: int, description: str) -> None:
         if valid_from < 1:
             raise ValueError(f"{tag}: valid_from must be >= 1")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "chain_231", chain_231)
-        object.__setattr__(self, "chain_312", chain_312)
         object.__setattr__(self, "valid_from", valid_from)
         object.__setattr__(self, "description", description)
 
+    @property
+    def chain_312(self) -> ChainSpec:
+        return self.chain_231.reverse_complement()
 
-# One row per tag: the two level-1 sides, valid_from, the description and
-# the closed form the row claims.
+
+# One row per tag: the level-1 pattern beside 231 on the 231 side, valid_from,
+# the description and the closed form the row claims.
 _ROWS = (
-    ("T31", "123", "123", 3, "2n - 3", lambda n: 2 * n - 3),
-    ("T32", "321", "321", 1, "F(n) with F(1)=1, F(2)=2", fibonacci),
-    ("T33", "132", "213", 1, *_T33),
-    ("T34", "312", "231", 1, "2^(n - 1)", lambda n: 2 ** (n - 1)),
-    ("T35", "213", "132", 1, *_T33),
-    ("T41", "1432", "3214", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3",
+    ("T31", "123", 3, "2n - 3", lambda n: 2 * n - 3),
+    ("T32", "321", 1, "F(n) with F(1)=1, F(2)=2", fibonacci),
+    ("T33", "132", 1, *_T33),
+    ("T34", "312", 1, "2^(n - 1)", lambda n: 2 ** (n - 1)),
+    ("T35", "213", 1, *_T33),
+    ("T41", "1432", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3",
      lambda n: lucas(n + 1) - _ceil_half(n) - 1),
-    ("T42", "1423", "2314", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1", _t42),
-    ("T43", "1243", "2134", 1, *_T43),
-    ("T44", "2143", "2143", 1, *_T43),
+    ("T42", "1423", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1", _t42),
+    ("T43", "1243", 1, *_T43),
+    ("T44", "2143", 1, *_T43),
 )
 
 # Each row of the table and the closed form it claims, in tag order.
 _CLAIMS: dict[FormulaId, Callable[[int], int]] = {
-    FormulaId(
-        tag=tag,
-        chain_231=parse_chain(f"231,{side_231}:231"),
-        chain_312=parse_chain(f"312,{side_312}:312"),
-        valid_from=valid_from,
-        description=description,
-    ): form
-    for tag, side_231, side_312, valid_from, description, form in _ROWS
+    FormulaId(tag, parse_chain(f"231,{side}:231"), valid_from, description): form
+    for tag, side, valid_from, description, form in _ROWS
 }
 
 _BY_TAG = {row.tag: row for row in _CLAIMS}

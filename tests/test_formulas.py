@@ -100,17 +100,6 @@ def test_unknown_tag():
         formula_by_tag("T99")
 
 
-def test_formula_id_rejects_mismatched_chains():
-    with pytest.raises(ValueError, match="reverse complements"):
-        FormulaId(
-            tag="bad",
-            chain_231=parse_chain("231:231"),
-            chain_312=parse_chain("312,123:312"),
-            valid_from=1,
-            description="",
-        )
-
-
 def test_evaluate_stored_values():
     assert evaluate(formula_by_tag("T31"), 3) == 3
     assert evaluate(formula_by_tag("T31"), 4) == 5
@@ -147,20 +136,17 @@ def test_evaluate_answers_only_for_table_rows():
     rebuilt = FormulaId(
         tag="T41",
         chain_231=parse_chain("231,1432:231"),
-        chain_312=parse_chain("312,3214:312"),
         valid_from=1,
         description=t41.description,
     )
     assert rebuilt is not t41
     assert evaluate(rebuilt, 8) == 71
-    unknown = FormulaId("X", parse_chain("231:231"), parse_chain("312:312"), 1, "")
+    unknown = FormulaId("X", parse_chain("231:231"), 1, "")
     with pytest.raises(ValueError, match=r"^X: not a row of the formula table$"):
         evaluate(unknown, 5)
     # A table tag on chains of no row claims nothing.
     t34 = formula_by_tag("T34")
-    other = FormulaId(
-        "T34", parse_chain("231,4321:231"), parse_chain("312,4321:312"), 1, t34.description
-    )
+    other = FormulaId("T34", parse_chain("231,4321:231"), 1, t34.description)
     with pytest.raises(ValueError, match=r"^T34: not a row of the formula table$"):
         evaluate(other, 5)
 
