@@ -143,7 +143,7 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     is a permutation of 1..k with k >= 1, before the source is compiled.
     """
     checks = _checks(levels, start)
-    lines = ["def avoids(w):", "    n = len(w)"]
+    lines = ["def avoids(w):"]
     if any(depth for depth, _ in checks):
         lines.append("    p = (0,) + w")
     namespace: dict = {}

@@ -6,11 +6,11 @@ as CSV (default) or JSON.  Reports are deterministic: the same
 arguments produce byte-identical output regardless of --jobs.  Each
 subcommand returns its rows and its problem lines; main writes the
 report once, then the problem lines to stderr.  Each chain is counted
-once, to n_max: count, verify and symmetry take their counts from
-_count_all, which asks for n_max first, so that the smaller n are
-lookups; structure takes the strong 312 avoiders of every size from one
-walk of the tree of 312:312, and checks them against the counts of
-312:312 from _count_all.
+once, to n_max: all four subcommands take a chain's counts from _counts,
+one list for n = 1..n_max, which asks for n_max first, so that the
+smaller n are lookups; structure also takes the strong 312 avoiders of
+every size from one walk of the tree of 312:312, and checks them
+against the counts of 312:312.
 
   count      exact totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -106,25 +106,21 @@ def render_report(rows: list[dict], fmt: str) -> str:
     return buffer.getvalue()
 
 
-def _count_all(args: argparse.Namespace, chains) -> dict:
-    """Every count_chain result of the chains for n = 1..n_max, keyed by
-    (n, chain).  Each chain is asked for n_max first, which counts it
-    once; the smaller sizes are then lookups in count_chain's memo."""
-    return {
-        (n, chain): count_chain(n, chain, jobs=args.jobs, force=args.force)
-        for chain in chains
-        for n in range(args.n_max, 0, -1)
-    }
+def _counts(args: argparse.Namespace, chain) -> list:
+    """The chain's count_chain results for n = 1..n_max, in that order.
+    n_max is asked for first, which counts the chain once; the smaller
+    sizes are then lookups in count_chain's memo."""
+    descending = range(args.n_max, 0, -1)
+    return [count_chain(n, chain, jobs=args.jobs, force=args.force) for n in descending][::-1]
 
 
 def cmd_count(args: argparse.Namespace) -> Outcome:
     chain = parse_chain(args.chain)
-    counts = _count_all(args, [chain])
     text = chain.text()
-    rows = []
-    for n in range(1, args.n_max + 1):
-        ref = counts[n, chain]
-        rows.append(_row(n, text, ref.total, refinement=ref.by_position_of_one))
+    rows = [
+        _row(n, text, ref.total, refinement=ref.by_position_of_one)
+        for n, ref in enumerate(_counts(args, chain), 1)
+    ]
     return rows, []
 
 
@@ -135,19 +131,25 @@ def _selected_formulas(tags_text: str):
     return [formula_by_tag(tag) for tag in tags]
 
 
+def _sides(args: argparse.Namespace, formula) -> list[tuple[str, str, list[int]]]:
+    """The two sides of a table row, 231 then 312: each side's name, its
+    chain's text and its chain's totals for n = 1..n_max."""
+    return [
+        (side, chain.text(), [ref.total for ref in _counts(args, chain)])
+        for side, chain in (("231", formula.chain_231), ("312", formula.chain_312))
+    ]
+
+
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     formulas = [f for f in _selected_formulas(args.tags) if f.valid_from <= args.n_max]
-    by_row = [(f, (f.chain_231, f.chain_312)) for f in formulas]
-    chains = [c for _, pair in by_row for c in pair]
-    counts = _count_all(args, chains)
-    texts = {chain: chain.text() for chain in chains}
     rows, problems = [], []
-    for formula, pair in by_row:
+    for formula in formulas:
+        sides = _sides(args, formula)
         for n in range(formula.valid_from, args.n_max + 1):
             expected = evaluate(formula, n)
-            for side, chain in zip(("231", "312"), pair):
-                got = counts[n, chain].total
-                rows.append(_row(n, texts[chain], got, expected, formula.tag))
+            for side, text, totals in sides:
+                got = totals[n - 1]
+                rows.append(_row(n, text, got, expected, formula.tag))
                 if got != expected:
                     problems.append(
                         f"disagreement: tag={formula.tag} n={n} side={side} "
@@ -160,14 +162,10 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> Outcome:
-    by_row = [(f, (f.chain_231, f.chain_312)) for f in formula_table()]
-    counts = _count_all(args, [c for _, pair in by_row for c in pair])
     rows, problems = [], []
-    for formula, (chain_231, chain_312) in by_row:
-        text = chain_231.text()
-        for n in range(1, args.n_max + 1):
-            left = counts[n, chain_231].total
-            right = counts[n, chain_312].total
+    for formula in formula_table():
+        (_, text, lefts), (_, _, rights) = _sides(args, formula)
+        for n, (left, right) in enumerate(zip(lefts, rights), 1):
             rows.append(_row(n, text, left, right, formula.tag))
             if left != right:
                 problems.append(
@@ -189,10 +187,10 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     # rest on step 2 of the proof in enumeration.py.  Criterion 4 and
     # tests/test_cli.py::test_structure_report_matches_scan_oracle assume
     # neither: they scan every word that ends in 1 for n <= 9.
-    counts = _count_all(args, [_CHAIN_312_312])
+    counts = _counts(args, _CHAIN_312_312)
     text = _CHAIN_312_312.text()
     rows, problems, witness = [], [], None
-    for n, words in ending_in_1.items():
+    for (n, words), ref in zip(ending_in_1.items(), counts):
         classified = {
             w for w in words if classify_strong_312_ending_in_1(Permutation(w)) is not None
         }
@@ -203,7 +201,7 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
                 f"form count mismatch at n={n}: {len(classified)} words classified, "
                 f"{len(forms)} unimodal forms"
             )
-        counted = counts[n, _CHAIN_312_312].by_position_of_one[-1]
+        counted = ref.by_position_of_one[-1]
         if counted != len(words):
             problems.append(
                 f"ending-in-1 count mismatch at n={n}: the walk finds {len(words)}, "

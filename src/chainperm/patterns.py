@@ -196,8 +196,8 @@ def _backward(rule: Rule) -> Rule:
 
 # The containment kernels of the patterns of length 3, as source for the
 # chain predicate of chains.py: the lines that start the pass, and the lines
-# run on each entry v of the word, which return False at the first
-# occurrence, n being the length of the word.  Each keeps its state in ints.
+# run on each entry v of the word w, which return False at the first
+# occurrence.  Each keeps its state in ints.
 #
 # 231: bit u of seen is set when u came before, and floor is the largest
 # entry with a larger one after it so far, the "2" of a 231 that any later
@@ -232,8 +232,10 @@ _INTERVAL_BITS = (
 )
 # 123: two running minima, the least entry so far and the least one that
 # has a smaller one before it.  An entry above the second completes a 123.
+# Both start above every entry, so this is the one kernel that reads the
+# length of the word.
 _TWO_MINIMA = (
-    ("least = second = n + 1",),
+    ("least = second = len(w) + 1",),
     (
         "if second < v:",
         "    return False",

@@ -393,11 +393,24 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_counts_each_chain_once(capsys, root_walks, block_counts):
-    code, out, err = run_cli(capsys, "verify", "--tags", "T41", "--n-max", "9")
-    assert code == 0
-    assert len(parse_csv(out)) == 18
-    assert len(block_counts) == 2
-    assert root_walks == []
+    # Every subcommand counts each of its chains once, to n_max: a chain
+    # that prunes at level 2 by one count over sums of blocks, any other
+    # by one walk of its tree from the root.  Each run starts without
+    # counts.  Columns: argv, report rows, block counts, root walks.
+    runs = (
+        (("verify", "--tags", "T41", "--n-max", "9"), 18, 2, 0),
+        (("symmetry", "--n-max", "9"), 81, 18, 0),
+        (("structure", "--n-max", "9"), 9, 1, 1),
+        (("count", "--chain", "13245:2143:312", "--n-max", "8", "--jobs", "1"), 8, 0, 1),
+        (("count", "--chain", "312,3214:312", "--n-max", "9"), 9, 1, 0),
+    )
+    for argv, *expected in runs:
+        chainperm.enumeration._COUNTS.clear()
+        block_counts.clear()
+        root_walks.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert [len(parse_csv(out)), len(block_counts), len(root_walks)] == expected, argv
 
 
 def test_verify_takes_each_chain_text_once(capsys, monkeypatch):

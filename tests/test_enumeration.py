@@ -364,6 +364,13 @@ def test_pool_size_is_capped(monkeypatch):
     assert enumeration._pool_size(8, 0) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert enumeration._pool_size(5000, 10**6) == 1
+    # Without CPU affinity the count of CPUs caps the pool, and an unknown
+    # count is taken as one.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert enumeration._pool_size(5000, 10**6) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert enumeration._pool_size(5000, 10**6) == 1
 
 
 def test_qualifying_chains_open_no_pool(monkeypatch):

@@ -14,7 +14,7 @@ from chainperm import (
     lucas,
     parse_chain,
 )
-from chainperm.formulas import FormulaId
+from chainperm.formulas import FormulaId, _exact_div
 
 ALL_TAGS = ("T31", "T32", "T33", "T34", "T35", "T41", "T42", "T43", "T44")
 
@@ -165,6 +165,14 @@ def test_results_are_exact_integers():
             value = evaluate(formula, n)
             assert isinstance(value, int)
             assert value >= 1
+
+
+def test_exact_division_refuses_a_remainder():
+    # The guard behind the divisions of T42, T43 and T44.
+    assert _exact_div(21, 3) == 7
+    with pytest.raises(ArithmeticError, match=r"^7 is not divisible by 3$") as raised:
+        _exact_div(7, 3)
+    assert type(raised.value) is ArithmeticError
 
 
 def test_t41_recurrence():

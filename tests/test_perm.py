@@ -43,6 +43,8 @@ def test_identity_and_reverse_identity():
     assert reverse_identity(1).values == (1,)
     with pytest.raises(ValueError):
         identity(-1)
+    with pytest.raises(ValueError):
+        reverse_identity(-1)
 
 
 def test_apply_is_one_based():
