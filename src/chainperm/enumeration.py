@@ -10,11 +10,11 @@ Generating trees and the Catalan and Schroder numbers, Discrete Math.
 occurrence passes through the inserted maximum, the only kind it can
 add.  For a pattern with a record in patterns._KERNELS, one of the six
 of length 3, one O(n) pass over the node gives the slots where that
-holds, its active sites (the record's rule, see patterns._length3_rule);
-the compiled pinned search of patterns._matcher runs only for the other
-patterns, and only on those slots.  One walk to n counts every size up
-to n; count_chain keeps those counts per chain for the life of the
-process, and walk_chain_avoiders streams the words of every size.
+holds, its active sites (the record's rule); the compiled pinned search
+of patterns._matcher runs only for the other patterns, and only on
+those slots.  One walk to n counts every size up to n; count_chain
+keeps those counts per chain for the life of the process, and
+walk_chain_avoiders streams the words of every size.
 
 Deeper levels, where the chain has any, are in general not closed under
 deleting the maximum, so for most chains the nodes at depth m are the
@@ -127,7 +127,8 @@ blocks of size s are (a, s - a) with 1 <= a <= s/2.  The chain's
 avoiders of size n are the sums of blocks of size n that avoid every
 other level-1 pattern sigma.  Split sigma = sigma_1 + ... + sigma_l into
 its sum-indecomposable components: one ends wherever a prefix of
-length j holds the values 1..j.
+length j holds the values 1..j, at the cuts that patterns._free_at_cuts
+gives as the free slots of 231.
 
 - Containment.  An occurrence of sigma in pi = beta_1 + ... + beta_r
   puts each component inside one block, and the blocks of sigma_1, ...,
@@ -221,7 +222,7 @@ import os
 from typing import Iterable, Iterator
 
 from .chains import ChainSpec, LevelValues, _chain_predicate
-from .patterns import _length3_rule, _matcher
+from .patterns import _KERNELS, _free_at_cuts, _matcher
 from .perm import Frozen, Permutation, _reverse_complement
 
 MAX_ENUMERATION_N = 14
@@ -298,20 +299,18 @@ def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict
     side; on the 231 side each component is read through its reverse
     complement, which maps the block delta_b - id_a to id_a - delta_b
     (see The 231 side in the module docstring)."""
-    # Each pattern as the forms (a, b) of its components; a pattern with a
-    # component that fits in no block is dropped.
+    # Each pattern as the forms (a, b) of its components, the parts between
+    # its direct-sum cuts; a pattern with a component that fits in no block
+    # is dropped.
     patterns = []
     for pattern in level1:
-        forms, cut, top = [], 0, 0
-        for end, value in enumerate(pattern, 1):
-            top = max(top, value)
-            if top == end:  # pattern[cut:end] is a component
-                part = tuple(v - cut for v in pattern[cut:end])
-                part = part if up else _reverse_complement(part)
-                k, b = end - cut, part[0] - 1
-                block = (*range(b + 1, k + 1), *range(b, 0, -1))
-                forms.append((k - b, b) if part == block else None)
-                cut = end
+        forms = []
+        for cut, end in itertools.pairwise(_free_at_cuts(pattern)):
+            part = tuple(v - cut for v in pattern[cut:end])
+            part = part if up else _reverse_complement(part)
+            k, b = end - cut, part[0] - 1
+            block = (*range(b + 1, k + 1), *range(b, 0, -1))
+            forms.append((k - b, b) if part == block else None)
         if None not in forms:
             patterns.append(forms)
     cap = max(map(len, level1))
@@ -410,8 +409,8 @@ def _grow(
     pushed on level 1 alone and yielded only if it passes the deeper
     levels."""
     pruned = _strong_side(levels) is True
-    rules = [rule for rule in map(_length3_rule, levels[0]) if rule is not None]
-    rejects = [_matcher(p, pinned=True) for p in levels[0] if _length3_rule(p) is None]
+    rules = [_KERNELS[p][1] for p in levels[0] if p in _KERNELS]
+    rejects = [_matcher(p, pinned=True) for p in levels[0] if p not in _KERNELS]
     deeper = _chain_predicate(levels, 1) if len(levels) > 1 else None
     stack = list(nodes)
     while stack:

@@ -13,18 +13,17 @@ the generating tree of enumeration.py can create.
 
 Each of the six patterns of length 3 has one record in _KERNELS, which
 alone decides which patterns get O(n) machinery.  Its insertion rule
-(see _length3_rule) gives the tree of enumeration.py the free slots for a
-new maximum in O(n), and its kernel, which the chain predicate of
-chains.py writes into its source and runs on each power in place,
-decides whether a word contains the pattern in O(n) too, stopping at the
-first occurrence.  Three bases are written out, each keeping its state
-in ints: 231 by a bit set of the entries so far and the floor no later
-entry may fall below, 312 by a bit set of the values that would complete
-one, 123 by two running minima.  The other
-three patterns are their reverses, whose kernels and rules read the word
-from its last entry to its first, so no reversed word is ever built for
-a kernel.  The compiled search stays the one generic path for every
-other pattern.
+gives the tree of enumeration.py the free slots for a new maximum in
+O(n), and its kernel, which the chain predicate of chains.py writes into
+its source and runs on each power in place, decides whether a word
+contains the pattern in O(n) too, stopping at the first occurrence.
+Three bases are written out, each keeping its state in ints: 231 by a
+bit set of the entries so far and the floor no later entry may fall
+below, 312 by a bit set of the values that would complete one, 123 by
+two running minima.  The other three patterns are their reverses, whose
+kernels and rules read the word from its last entry to its first, so no
+reversed word is ever built for a kernel.  The compiled search stays the
+one generic path for every other pattern.
 """
 
 from functools import lru_cache
@@ -61,7 +60,7 @@ _SLOTS_PER_FUNCTION = 16
 
 Matcher = Callable[..., tuple[int, ...] | None]
 
-# An insertion rule: the free slots of a word (see _length3_rule).
+# An insertion rule: the free slots of a word (see _KERNELS).
 Rule = Callable[[tuple[int, ...]], Iterable[int]]
 
 
@@ -161,7 +160,9 @@ def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
 def _free_at_cuts(word: tuple[int, ...]) -> list[int]:
     """The slots i at which the first i entries of word are 1, ..., i,
     which is when the running maximum reaches i: then each entry before the
-    slot lies below each entry after it."""
+    slot lies below each entry after it.  These are the word's direct-sum
+    cuts, so they are both the free slots of 231 and the ends of a
+    pattern's sum components in enumeration._automaton."""
     return [0] + [i for i, top in enumerate(accumulate(word, max), 1) if top == i]
 
 
@@ -247,7 +248,13 @@ _TWO_MINIMA = (
 )
 
 # The record of each pattern of length 3: (kernel, rule, backward), the
-# kernel being (start lines, lines per entry v).  A word contains a pattern
+# kernel being (start lines, lines per entry v).  The rule, called on any
+# word, gives the slots 0..len(word), in ascending order, at which
+# inserting a new maximum completes no occurrence.  An inserted maximum can
+# only play the pattern's 3, so the rule follows from the sides of the 3
+# that the other two entries sit on: 231 is free where every entry before
+# the slot lies below every entry after it, 312 where the entries after the
+# slot decrease, 123 where those before it do.  A word contains a pattern
 # exactly when its reverse contains the reversed pattern, so 132, 213 and
 # 321 run the kernels and rules of 231, 312 and 123 on the entries from the
 # last to the first.
@@ -260,22 +267,6 @@ _KERNELS = {
     )
     for pattern, backward in ((base, False), (base[::-1], True))
 }
-
-
-def _length3_rule(pattern: tuple[int, ...]) -> Rule | None:
-    """The O(n) insertion rule of a pattern of length 3, or None for any
-    other pattern.  Called on any word, the rule gives the slots
-    0..len(word), in ascending order, at which inserting a new maximum
-    completes no occurrence.
-
-    An inserted maximum can only play the pattern's 3, so the rule follows
-    from the sides of the 3 that the other two entries sit on: 231 is free
-    where every entry before the slot lies below every entry after it, 312
-    where the entries after the slot decrease, 123 where those before it
-    do; the other three read the word backward.
-    """
-    record = _KERNELS.get(pattern)
-    return None if record is None else record[1]
 
 
 def contains(pi: Permutation, tau: Permutation) -> bool:

@@ -1,5 +1,6 @@
 """Exhaustive counting: base cases, refinement, sharding, size bound."""
 
+import itertools
 import multiprocessing
 import os
 
@@ -11,6 +12,7 @@ from chainperm import (
     CountRefinement,
     MAX_ENUMERATION_N,
     Pattern,
+    Permutation,
     avoids,
     chain_avoids,
     count_chain,
@@ -19,6 +21,7 @@ from chainperm import (
     generate_sn,
     identity,
     parse_chain,
+    strongly_avoids,
 )
 from chainperm.chains import _chain_predicate
 from chainperm.enumeration import walk_chain_avoiders
@@ -294,6 +297,40 @@ def test_table_automata_only_move_forward():
 def test_random_automata_only_move_forward(square, others, where):
     level1 = tuple(others[:where] + [square] + others[where:])
     assert_moves_never_go_back(level1, square == (3, 1, 2))
+
+
+def test_automaton_keeps_exactly_the_patterns_strong_avoiders_contain():
+    # The automaton drops a level-1 pattern with a component that fits in
+    # no block, so its start state has one coordinate for sigma exactly
+    # when some strong avoider contains sigma.  The avoiders of size <= 8
+    # are filtered from all words, not walked, and every pattern of length
+    # <= 5 fits in one of them when it fits in a sum of blocks at all.
+    # 2431 and 3241 avoid 312 but are one component of no block form, so
+    # they are dropped on the 312 side, and their reverse complements 4213
+    # and 4132 on the 231 side.
+    for square, dropped in (
+        ((3, 1, 2), [(2, 4, 3, 1), (3, 2, 4, 1)]),
+        ((2, 3, 1), [(4, 2, 1, 3), (4, 1, 3, 2)]),
+    ):
+        tau = Pattern(square)
+        contained = set()
+        for n in range(9):
+            for word in itertools.permutations(range(1, n + 1)):
+                if strongly_avoids(Permutation(word), tau):
+                    for k in range(1, min(n, 5) + 1):
+                        for sub in itertools.combinations(word, k):
+                            ranks = sorted(sub)
+                            contained.add(tuple(ranks.index(v) + 1 for v in sub))
+        kept = set()
+        for k in range(1, 6):
+            for sigma in itertools.permutations(range(1, k + 1)):
+                _, moves = enumeration._automaton((square, sigma), square == (3, 1, 2))
+                if len(next(iter(moves))) == 1:
+                    kept.add(sigma)
+        assert kept == contained, square
+        assert len(kept) == 48
+        assert all(avoids(Permutation(sigma), tau) for sigma in dropped)
+        assert not kept.intersection(dropped)
 
 
 def test_counts_are_kept_per_chain(root_walks, block_counts):

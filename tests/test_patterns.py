@@ -19,7 +19,7 @@ from chainperm import (
 )
 from chainperm import chains, patterns
 from chainperm.chains import _chain_predicate
-from chainperm.patterns import _length3_rule, _matcher
+from chainperm.patterns import _KERNELS, _matcher
 from helpers import (
     PATTERNS_3,
     PATTERNS_4,
@@ -171,7 +171,7 @@ def test_insertion_rule_agrees_with_scan_oracle(pattern):
     # Deleting the maximum of an avoider leaves an avoider, so inserting a
     # maximum at the slots the oracle allows reaches every avoider of each
     # size: all 4,862 of size 9 after the words of size <= 8.
-    rule = _length3_rule(pattern)
+    rule = _KERNELS[pattern][1]
     words = [()]
     for m in range(9):
         children = []
@@ -212,7 +212,7 @@ def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
     # backward for 132, 213 and 321, at those sizes too.  Swapping one
     # adjacent pair of a copy may complete an occurrence, or may not.
     rng = random.Random("".join(map(str, pattern)))
-    rule = _length3_rule(pattern)
+    rule = _KERNELS[pattern][1]
     avoids_pattern = _chain_predicate(((pattern,),))
     word, outcomes = (), set()
     for size in range(1, 81):
@@ -247,7 +247,7 @@ def test_chain_predicate_is_built_only_from_permutations(monkeypatch):
 def test_only_length3_patterns_have_a_rule():
     # A word of length 3 that is not a permutation has no record either.
     for pattern in ((1,), (2, 1), (1, 1, 2), *PATTERNS_4, (1, 3, 2, 5, 4)):
-        assert _length3_rule(pattern) is None
+        assert pattern not in _KERNELS
 
 
 def test_engine_agrees_with_scan_oracle_exhaustively():
