@@ -133,9 +133,11 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     over the word that reads the power in place, as x, p[x], p[p[x]] and so
     on with p the word shifted to 1-based indexing, and runs its kernel on
     each entry: one O(n) pass that builds nothing.  A backward kernel reads
-    the power in place too, from the last position to the first.  Any other
-    pattern runs its compiled search (patterns._matcher) on its power, built
-    as a tuple at most once per word and depth.
+    the power in place too, from the last position to the first, and a
+    complemented kernel reads each value v of the power as n + 1 - v, with
+    n the length of the word.  Any other pattern runs its compiled search
+    (patterns._matcher) on its power, built as a tuple at most once per
+    word and depth.
 
     The source holds only the fixed lines of the kernels, depths and check
     numbers; each search reaches it through the namespace.  So every
@@ -151,9 +153,14 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
     for c, (depth, pattern) in enumerate(checks):
         entry = "p[" * depth + "x" + "]" * depth
         if pattern in _KERNELS:
-            (begin, step), _, backward = _KERNELS[pattern]
+            (begin, step), _, backward, complement = _KERNELS[pattern]
             word = "reversed(w)" if backward else "w"
-            head = (f"for x in {word}:", f"    v = {entry}") if depth else (f"for v in {word}:",)
+            if complement:
+                begin, entry = ("n1 = len(w) + 1",) + begin, f"n1 - {entry}"
+            if entry == "x":
+                head = (f"for v in {word}:",)
+            else:
+                head = (f"for x in {word}:", f"    v = {entry}")
             lines += ["    " + line for line in begin + head]
             lines += ["        " + line for line in step]
             continue

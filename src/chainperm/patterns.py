@@ -17,13 +17,14 @@ gives the tree of enumeration.py the free slots for a new maximum in
 O(n), and its kernel, which the chain predicate of chains.py writes into
 its source and runs on each power in place, decides whether a word
 contains the pattern in O(n) too, stopping at the first occurrence.
-Three bases are written out, each keeping its state in ints: 231 by a
-bit set of the entries so far and the floor no later entry may fall
-below, 312 by a bit set of the values that would complete one, 123 by
-two running minima.  The other three patterns are their reverses, whose
-kernels and rules read the word from its last entry to its first, so no
-reversed word is ever built for a kernel.  The compiled search stays the
-one generic path for every other pattern.
+Up to reverse and complement the six fall into two classes, {312, 213,
+132, 231} and {123, 321}, so two kernels are written out, each keeping
+its state in ints: 312 by a bit set of the values that would complete
+one, 123 by two running minima.  The other patterns' kernels read the
+word from its last entry to its first, or each value v as n + 1 - v, or
+both, so no reversed or complemented word is ever built.  The rules have
+three bases, 231, 312 and 123, whose reverses read the word backward.
+The compiled search stays the one generic path for every other pattern.
 """
 
 from functools import lru_cache
@@ -200,22 +201,6 @@ def _backward(rule: Rule) -> Rule:
 # run on each entry v of the word w, which return False at the first
 # occurrence.  Each keeps its state in ints.
 #
-# 231: bit u of seen is set when u came before, and floor is the largest
-# entry with a larger one after it so far, the "2" of a 231 that any later
-# entry below it completes.  After an entry v that completes none, floor
-# is the largest seen entry below v, never below the old floor, which is
-# itself a seen entry below v.  It is the last entry popped by the stack
-# that sorts exactly the words avoiding 231 (Knuth, TAOCP vol. 1, 2.2.1),
-# kept without the stack.
-_STACK_SORT = (
-    ("seen = floor = 0",),
-    (
-        "if v < floor:",
-        "    return False",
-        "seen |= 1 << v",
-        "floor = (seen & ((1 << v) - 1)).bit_length() - 1",
-    ),
-)
 # 312: bit u of bad is set when u lies strictly between an entry v and the
 # running maximum top before it, which are then the "1" and the "3" of a
 # 312 that u would complete.  The largest entry before v gives the widest
@@ -233,8 +218,8 @@ _INTERVAL_BITS = (
 )
 # 123: two running minima, the least entry so far and the least one that
 # has a smaller one before it.  An entry above the second completes a 123.
-# Both start above every entry, so this is the one kernel that reads the
-# length of the word.
+# Both start above every entry, so this kernel reads the length of the
+# word.
 _TWO_MINIMA = (
     ("least = second = len(w) + 1",),
     (
@@ -247,25 +232,29 @@ _TWO_MINIMA = (
     ),
 )
 
-# The record of each pattern of length 3: (kernel, rule, backward), the
-# kernel being (start lines, lines per entry v).  The rule, called on any
-# word, gives the slots 0..len(word), in ascending order, at which
-# inserting a new maximum completes no occurrence.  An inserted maximum can
-# only play the pattern's 3, so the rule follows from the sides of the 3
-# that the other two entries sit on: 231 is free where every entry before
-# the slot lies below every entry after it, 312 where the entries after the
-# slot decrease, 123 where those before it do.  A word contains a pattern
-# exactly when its reverse contains the reversed pattern, so 132, 213 and
-# 321 run the kernels and rules of 231, 312 and 123 on the entries from the
-# last to the first.
+# The record of each pattern of length 3: (kernel, rule, backward,
+# complement), the kernel being (start lines, lines per entry v).  A word
+# contains a pattern exactly when its reverse contains the reversed
+# pattern, and its complement the complemented one, so 213, 132 and 231
+# run the 312 kernel on the word read backward, complemented (each value
+# v read as n + 1 - v), or both, and 321 the 123 kernel read backward,
+# which spares the subtraction a complemented reading makes per entry.
+# backward and complement say only how the kernel reads the word.  The rule, called on any word, gives the
+# slots 0..len(word), in ascending order, at which inserting a new maximum
+# completes no occurrence.  An inserted maximum can only play the
+# pattern's 3, so the rule follows from the sides of the 3 that the other
+# two entries sit on: 231 is free where every entry before the slot lies
+# below every entry after it, 312 where the entries after the slot
+# decrease, 123 where those before it do, and their reverses 132, 213 and
+# 321 run those rules on the word read backward.  A complemented maximum
+# would be a minimum, so no rule can read the word complemented.
 _KERNELS = {
-    pattern: (kernel, _backward(rule) if backward else rule, backward)
-    for base, kernel, rule in (
-        ((2, 3, 1), _STACK_SORT, _free_at_cuts),
-        ((3, 1, 2), _INTERVAL_BITS, _free_after_run),
-        ((1, 2, 3), _TWO_MINIMA, _free_before_run),
-    )
-    for pattern, backward in ((base, False), (base[::-1], True))
+    (3, 1, 2): (_INTERVAL_BITS, _free_after_run, False, False),
+    (2, 1, 3): (_INTERVAL_BITS, _backward(_free_after_run), True, False),
+    (1, 3, 2): (_INTERVAL_BITS, _backward(_free_at_cuts), False, True),
+    (2, 3, 1): (_INTERVAL_BITS, _free_at_cuts, True, True),
+    (1, 2, 3): (_TWO_MINIMA, _free_before_run, False, False),
+    (3, 2, 1): (_TWO_MINIMA, _backward(_free_before_run), True, False),
 }
 
 

@@ -196,6 +196,11 @@ def test_chain_agrees_with_scan_oracle():
         "23415:3241:312",
         "1432:312:21",
         "312,1432:2143,231:12",
+        # Complemented kernels read forward (132) and backward (231): checks
+        # in the order 132, 231, 213, then the 2143 search; and two readings
+        # on each of depths 1 and 2.
+        "132,2143:231:213",
+        "1324:231,213:132,321",
     )
     for text in chains:
         chain = parse_chain(text)

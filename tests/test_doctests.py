@@ -48,11 +48,17 @@ def test_docstrings_and_comments_name_existing_attributes():
     # attribute of that submodule, so that a rename cannot leave it stale.
     # File names such as enumeration.py are not references; code is not
     # read at all, so locals that share a submodule's name do not count.
+    # README.md is read whole, as one piece of prose.
     names = [m.name for m in pkgutil.iter_modules(chainperm.__path__) if m.name[0] != "_"]
     reference = re.compile(rf"\b({'|'.join(names)})\.([A-Za-z_][A-Za-z0-9_]*)")
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    sources = [(readme, [(1, readme.read_text())])] + [
+        (path, prose(path.read_text()))
+        for path in sorted(Path(chainperm.__file__).parent.glob("*.py"))
+    ]
     stale = []
-    for path in sorted(Path(chainperm.__file__).parent.glob("*.py")):
-        for line, text in prose(path.read_text()):
+    for path, texts in sources:
+        for line, text in texts:
             for found in reference.finditer(text):
                 module, attribute = found.groups()
                 if attribute != "py" and not hasattr(

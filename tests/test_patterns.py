@@ -206,11 +206,12 @@ def test_length3_kernel_agrees_with_scan_oracle(pattern):
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
 def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
     # Avoiders of sizes 65-80, grown by inserting the maximum at a random
-    # free slot, hold values past bit 63 of the 231 and 312 kernels' bit
-    # sets and are read backward far beyond the exhaustive sizes.  Each
-    # grown word must avoid the pattern, which checks the insertion rule,
-    # backward for 132, 213 and 321, at those sizes too.  Swapping one
-    # adjacent pair of a copy may complete an occurrence, or may not.
+    # free slot, hold values past bit 63 of the 312 kernel's bit set, which
+    # 312, 213, 132 and 231 read plain, backward, complemented and both, far
+    # beyond the exhaustive sizes.  Each grown word must avoid the pattern,
+    # which checks the insertion rule, backward for 132, 213 and 321, at
+    # those sizes too.  Swapping one adjacent pair of a copy may complete an
+    # occurrence, or may not.
     rng = random.Random("".join(map(str, pattern)))
     rule = _KERNELS[pattern][1]
     avoids_pattern = _chain_predicate(((pattern,),))
