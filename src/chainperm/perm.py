@@ -10,6 +10,7 @@ sizes use comma-separated values ("10,3,1,...").  The parser accepts
 either form.
 """
 
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -22,16 +23,23 @@ class Frozen:
 
     A subclass names its fields in its own __slots__, in the order of its
     constructor's parameters, and its __init__ sets each one once through
-    object.__setattr__.  Equality and hashing compare the fields in order,
-    between objects of the same class; the repr lists them by keyword;
-    assigning or deleting any attribute raises AttributeError; and an
-    object pickles and copies as a call of its class on its fields.
+    object.__setattr__.  The class that names the fields owns them: a
+    subclass that adds none, as Pattern adds none to Permutation, keeps
+    its owner's fields.  Equality holds between instances of the owner
+    with equal fields, so a Pattern equals the Permutation with the same
+    values, and hashing hashes the fields (a one-field record hashes that
+    field).  The repr lists the fields by keyword; assigning or deleting
+    any attribute raises AttributeError; and an object pickles and copies
+    as a call of its class on its fields.
     """
 
     __slots__ = ()
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__slots__"):
+            cls._owner = cls
+            cls._key = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -40,19 +48,19 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._astuple() == other._astuple()
+        if isinstance(other, self._owner):
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._owner.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._astuple()
+        return type(self), tuple([getattr(self, name) for name in self._owner.__slots__])
 
 
 def _word_text(values: tuple[int, ...]) -> str:
@@ -98,22 +106,11 @@ class Permutation(Frozen):
             raise IndexError(f"position {i} out of range 1..{len(self.values)}")
         return self.values[i - 1]
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Permutation):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.values!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.values,)
 
     def text(self) -> str:
         """Canonical text form: digit string up to size 9, else comma-separated."""

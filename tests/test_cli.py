@@ -668,12 +668,14 @@ def test_installed_console_script():
 def test_ctrl_c_during_pooled_count_exits_130():
     # Counting 312 up to n = 14 walks its tree once, in a pool from the
     # start, for longer than the test waits; SIGINT goes to the whole process
-    # group, as Ctrl-C does.
+    # group, as Ctrl-C does. The child gets SIGINT's default action, as a
+    # terminal's foreground job has: a background job of a non-interactive
+    # shell starts with SIGINT ignored, and Popen would pass that on.
     argv = [sys.executable, "-m", "chainperm", "count", "--chain", "312", "--n-max", "14", "--jobs", "2"]
     started = time.monotonic()
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
-        start_new_session=True,
+        start_new_session=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
     try:

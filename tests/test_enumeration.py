@@ -175,6 +175,22 @@ def test_block_counts_match_the_pruned_tree_to_14():
         assert got == splits_by_size(list(walk_chain_avoiders(14, chain)), 14), chain
 
 
+def test_block_counts_match_the_level1_walk_for_every_short_sigma():
+    # Every strong chain (square, sigma : square) with |sigma| <= 5, on both
+    # sides: 306 chains counted over blocks against the tree that does not
+    # prune, so the automaton's component reading meets far more patterns
+    # than the table's.
+    n = 8
+    for square in ((3, 1, 2), (2, 3, 1)):
+        for k in range(1, 6):
+            for sigma in itertools.permutations(range(1, k + 1)):
+                chain = ChainSpec(((square, sigma), (square,)))
+                assert enumeration._strong_side(chain.levels) is (square == (3, 1, 2))
+                count_chain(n, chain)
+                got = [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[chain]]
+                assert got == splits_by_size(level1_walk(chain, n), n), chain
+
+
 def test_block_counts_hold_the_closed_forms_far_out():
     # At n = 60 no tree could be walked: T34 alone has 2^59 avoiders per
     # side.  The T31 claim 2n - 3 fails here too; the count is n + 1.

@@ -8,10 +8,12 @@ from chainperm import (
     build_unimodal,
     classify_strong_312_ending_in_1 as classify,
     count_strong_312_ending_in_1 as count_breakpoints,
+    parse_chain,
     parse_pattern,
     parse_permutation,
     strongly_avoids,
     unimodal_forms,
+    walk_chain_avoiders,
 )
 from helpers import all_words
 
@@ -118,3 +120,20 @@ def test_forms_match_exhaustive_strong_avoiders():
                 continue
             assert (classify(Permutation(word)) is not None) == (word in strong)
 
+
+def test_forms_match_the_unpruned_tree_of_312():
+    # No 312 ends in its smallest entry, so the words of Av(312) that end in
+    # 1 are exactly w - 1 (w's values plus 1, then 1) for w in Av(312).
+    # The tree of the one-level chain 312 deletes the maximum, which keeps
+    # 312-avoidance, so this check rests on no step of the structure proof.
+    tau = parse_pattern("312")
+    by_size = {}
+    for word in walk_chain_avoiders(12, parse_chain("312")):
+        by_size.setdefault(len(word), []).append(word)
+    for n in range(1, 14):
+        strong = set()
+        for word in by_size[n - 1]:
+            candidate = tuple(v + 1 for v in word) + (1,)
+            if strongly_avoids(Permutation(candidate), tau):
+                strong.add(candidate)
+        assert strong == {p.values for p in unimodal_forms(n)}, n
