@@ -8,9 +8,9 @@ subcommand returns its rows and its problem lines; main writes the
 report once, then the problem lines to stderr.  Each chain is counted
 once, to n_max: all four subcommands take a chain's counts from _counts,
 one list for n = 1..n_max, which asks for n_max first, so that the
-smaller n are lookups; structure also takes the strong 312 avoiders of
-every size from one walk of the tree of 312:312, and checks them
-against the counts of 312:312.
+smaller n are lookups; structure also grows the strong 312 avoiders
+that end in 1, each size from the one below, and checks them against
+the counts of 312:312.
 
   count      exact totals of one chain for n = 1..n_max, with the
              count split by the position of the value 1
@@ -19,12 +19,14 @@ against the counts of 312:312.
   symmetry   exact counts of the two chains of every row, checking that
              the mirrored counts agree
   structure  check that the strong 312 avoiders ending in 1 are exactly
-             the unimodal words.  The tree of 312:312 prunes at level 2,
-             so it holds exactly the strong 312 avoiders (see
-             enumeration.py).  Each of them that ends in 1 must classify,
-             the classified words must be the unimodal forms, and the
-             number of those that end in 1 must equal the count of
-             312:312 over blocks whose 1 sits last
+             the unimodal words.  They are grown size by size: a strong
+             avoider stays strong when its maximum is deleted (see
+             enumeration.py), which never moves a final 1, so the words
+             of size n + 1 are those of size n with n + 1 inserted
+             before the 1 that strongly avoid 312.  Each must classify,
+             the classified words must be the unimodal forms, and their
+             number must equal the count of 312:312 over blocks whose 1
+             sits last
 
 Exit codes: 0 all checks agree, 1 exactly when a problem line (a
 disagreement or counterexample) is printed, 2 usage or parse error or
@@ -39,10 +41,8 @@ import io
 import os
 import sys
 
-# strongly_avoids is not called here, but perfbench/tracing.py wraps it by
-# this name.
-from .chains import parse_chain, strongly_avoids  # noqa: F401
-from .enumeration import count_chain, walk_chain_avoiders
+from .chains import parse_chain, strongly_avoids
+from .enumeration import count_chain
 from .formulas import evaluate, formula_by_tag, formula_table
 from .perm import Permutation
 from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimodal_forms
@@ -50,6 +50,7 @@ from .structure import breakpoint_range, classify_strong_312_ending_in_1, unimod
 _FIELDS = ("n", "chain", "brute_force", "formula", "tag", "agree", "refinement")
 
 _CHAIN_312_312 = parse_chain("312:312")
+_PATTERN_312 = Permutation((3, 1, 2))
 
 
 def _row(
@@ -176,21 +177,26 @@ def cmd_symmetry(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_structure(args: argparse.Namespace) -> Outcome:
-    ending_in_1 = {n: [] for n in range(1, args.n_max + 1)}
-    # The tree of 312:312 holds exactly the strong 312 avoiders, so one walk
-    # gives those that end in 1 for every n at once.
-    for word in walk_chain_avoiders(args.n_max, _CHAIN_312_312, force=args.force):
-        if word and word[-1] == 1:
-            ending_in_1[len(word)].append(word)
-    # The block program counts the same words: those whose first block, the
-    # one that holds the 1, is the whole word.  It and the walk's pruning both
-    # rest on step 2 of the proof in enumeration.py.  Criterion 4 and
+    # Counted first, so that a size above the bound is refused before any
+    # word is grown.
+    counts = _counts(args, _CHAIN_312_312)
+    # The strong 312 avoiders that end in 1, size by size.  Deleting the
+    # maximum never moves a final 1, and a strong 312 avoider stays strong
+    # when n is deleted (steps 2 and 3 of the proof in enumeration.py), so
+    # each word of size n + 1 is a word of size n with n + 1 inserted before
+    # its 1: the words of the pruned tree of 312:312 that end in 1.  The
+    # block program counts the same words: those whose first block, the one
+    # that holds the 1, is the whole word.  It and the growth both rest on
+    # step 2 of that proof.  Criterion 4 and
     # tests/test_cli.py::test_structure_report_matches_scan_oracle assume
     # neither: they scan every word that ends in 1 for n <= 9.
-    counts = _counts(args, _CHAIN_312_312)
+    ending_in_1 = [[(1,)]]
+    for n in range(1, args.n_max):
+        children = (w[:i] + (n + 1,) + w[i:] for w in ending_in_1[-1] for i in range(n))
+        ending_in_1.append([c for c in children if strongly_avoids(Permutation(c), _PATTERN_312)])
     text = _CHAIN_312_312.text()
     rows, problems, witness = [], [], None
-    for (n, words), ref in zip(ending_in_1.items(), counts):
+    for n, (words, ref) in enumerate(zip(ending_in_1, counts), 1):
         classified = {
             w for w in words if classify_strong_312_ending_in_1(Permutation(w)) is not None
         }

@@ -22,12 +22,13 @@ Up to reverse and complement the six fall into two classes, {312, 213,
 its state in ints: 312 by a bit set of the values that would complete
 one, 123 by two running minima.  The other patterns' kernels read the
 word from its last entry to its first, or each value v as n + 1 - v, or
-both, so no reversed or complemented word is ever built.  The rules have
-three bases, 231, 312 and 123, whose reverses read the word backward.
-The compiled search stays the one generic path for every other pattern.
+both, so no reversed or complemented word is ever built.  The rules are
+grouped by where the pattern's 3 sits, first, last or in the middle, and
+each reads the word in place.  The compiled search stays the one generic
+path for every other pattern.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -60,9 +61,6 @@ def parse_pattern(text: str) -> Pattern:
 _SLOTS_PER_FUNCTION = 16
 
 Matcher = Callable[..., tuple[int, ...] | None]
-
-# An insertion rule: the free slots of a word (see _KERNELS).
-Rule = Callable[[tuple[int, ...]], Iterable[int]]
 
 
 @lru_cache(maxsize=None)
@@ -158,42 +156,37 @@ def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
     return namespace["_m0"]
 
 
-def _free_at_cuts(word: tuple[int, ...]) -> list[int]:
+def _free_at_cuts(word: tuple[int, ...], skew: bool = False) -> list[int]:
     """The slots i at which the first i entries of word are 1, ..., i,
     which is when the running maximum reaches i: then each entry before the
     slot lies below each entry after it.  These are the word's direct-sum
     cuts, so they are both the free slots of 231 and the ends of a
-    pattern's sum components in enumeration._automaton."""
+    pattern's sum components in enumeration._automaton.  When skew, the
+    slots at which the first i entries are the i largest, which is when the
+    running minimum falls to len(word) + 1 - i: the skew-sum cuts, the
+    free slots of 132."""
+    if skew:
+        n = len(word) + 1
+        return [0] + [i for i, low in enumerate(accumulate(word, min), 1) if low == n - i]
     return [0] + [i for i, top in enumerate(accumulate(word, max), 1) if top == i]
 
 
-def _free_after_run(word: tuple[int, ...]) -> range:
-    """The slots i at which word[i:] decreases: those from the start of the
-    word's last decreasing run on."""
+def _free_after_run(word: tuple[int, ...], rising: bool = False) -> range:
+    """The slots i at which word[i:] decreases, or increases when rising:
+    those from the start of the word's last such run on."""
     i = len(word) - 1
-    while i > 0 and word[i - 1] > word[i]:
+    while i > 0 and (word[i - 1] < word[i]) == rising:
         i -= 1
     return range(max(i, 0), len(word) + 1)
 
 
-def _free_before_run(word: tuple[int, ...]) -> range:
-    """The slots i at which word[:i] decreases: those up to the end of the
-    word's first decreasing run."""
+def _free_before_run(word: tuple[int, ...], rising: bool = False) -> range:
+    """The slots i at which word[:i] decreases, or increases when rising:
+    those up to the end of the word's first such run."""
     i = 1
-    while i < len(word) and word[i - 1] > word[i]:
+    while i < len(word) and (word[i - 1] < word[i]) == rising:
         i += 1
     return range(min(i, len(word)) + 1)
-
-
-def _backward(rule: Rule) -> Rule:
-    """The rule of the reversed pattern: rule runs on the reversed word, and
-    its slot i there is slot len(word) - i here, given in ascending order."""
-
-    def free(word: tuple[int, ...]) -> list[int]:
-        n = len(word)
-        return [n - i for i in reversed(rule(word[::-1]))]
-
-    return free
 
 
 # The containment kernels of the patterns of length 3, as source for the
@@ -239,22 +232,24 @@ _TWO_MINIMA = (
 # run the 312 kernel on the word read backward, complemented (each value
 # v read as n + 1 - v), or both, and 321 the 123 kernel read backward,
 # which spares the subtraction a complemented reading makes per entry.
-# backward and complement say only how the kernel reads the word.  The rule, called on any word, gives the
-# slots 0..len(word), in ascending order, at which inserting a new maximum
-# completes no occurrence.  An inserted maximum can only play the
-# pattern's 3, so the rule follows from the sides of the 3 that the other
-# two entries sit on: 231 is free where every entry before the slot lies
-# below every entry after it, 312 where the entries after the slot
-# decrease, 123 where those before it do, and their reverses 132, 213 and
-# 321 run those rules on the word read backward.  A complemented maximum
-# would be a minimum, so no rule can read the word complemented.
+# backward and complement say only how the kernel reads the word.  The
+# rule, called on any word, gives the slots 0..len(word), in ascending
+# order, at which inserting a new maximum completes no occurrence.  An
+# inserted maximum can only play the pattern's 3, so the rule follows from
+# the sides of the 3 that the other two entries sit on, and each rule reads
+# the word in place.  With the 3 first (312, 321) the slot is free where
+# the entries after it decrease, or increase for 321; with the 3 last (123,
+# 213) where those before it decrease, or increase for 213; with the 3 in
+# the middle (231, 132) where every entry before the slot lies below every
+# entry after it, or above for 132.  A complemented maximum would be a
+# minimum, so no rule can read the word complemented.
 _KERNELS = {
     (3, 1, 2): (_INTERVAL_BITS, _free_after_run, False, False),
-    (2, 1, 3): (_INTERVAL_BITS, _backward(_free_after_run), True, False),
-    (1, 3, 2): (_INTERVAL_BITS, _backward(_free_at_cuts), False, True),
+    (2, 1, 3): (_INTERVAL_BITS, partial(_free_before_run, rising=True), True, False),
+    (1, 3, 2): (_INTERVAL_BITS, partial(_free_at_cuts, skew=True), False, True),
     (2, 3, 1): (_INTERVAL_BITS, _free_at_cuts, True, True),
     (1, 2, 3): (_TWO_MINIMA, _free_before_run, False, False),
-    (3, 2, 1): (_TWO_MINIMA, _backward(_free_before_run), True, False),
+    (3, 2, 1): (_TWO_MINIMA, partial(_free_after_run, rising=True), True, False),
 }
 
 

@@ -45,12 +45,8 @@ def classify_strong_312_ending_in_1(pi: Permutation) -> int | None:
     if not values or values[-1] != 1:
         raise ValueError("classification applies only to permutations ending in 1")
     n = len(values)
-    if values == tuple(range(n, 0, -1)):
-        return n
-    k = values[0] - 1
-    if k in breakpoint_range(n) and values == build_unimodal(n, k).values:
-        return k
-    return None
+    matches = (k for k in breakpoint_range(n) if build_unimodal(n, k).values == values)
+    return max(matches, default=None)
 
 
 def count_strong_312_ending_in_1(n: int) -> int:

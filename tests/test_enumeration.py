@@ -233,6 +233,49 @@ def test_strong_avoiders_are_closed_under_deleting_the_extreme():
         assert set(walk_chain_avoiders(11, chain)) == oracle, text
 
 
+def direct_sum_blocks(word):
+    """The blocks of word's direct-sum decomposition, each shifted down to
+    the values 1..s: a block ends where the first i entries are 1..i."""
+    blocks, start, top = [], 0, 0
+    for i, v in enumerate(word, 1):
+        top = max(top, v)
+        if top == i:
+            blocks.append(tuple(u - start for u in word[start:i]))
+            start = i
+    return blocks
+
+
+def test_strong_avoiders_are_exactly_the_sums_of_the_lemma_blocks():
+    # The block lemma of enumeration.py, word by word, on the level-1 tree,
+    # which assumes no step of its proof: every block of a strong 312
+    # avoider is the point or U(s, k) = (k+1)...s k...1, of a strong 231
+    # avoider the point or V(s, k) = s...(s-k+1) 1...(s-k), with
+    # ceil(s/2) <= k <= s - 1, and the direct sums of those blocks are all
+    # the strong avoiders.
+    n = 11
+
+    def u(s, k):
+        return tuple(range(k + 1, s + 1)) + tuple(range(k, 0, -1))
+
+    def v(s, k):
+        return tuple(range(s, s - k, -1)) + tuple(range(1, s - k + 1))
+
+    for side, block in (("312", u), ("231", v)):
+        allowed = {(1,)} | {block(s, k) for s in range(2, n + 1) for k in range((s + 1) // 2, s)}
+        walked = set(level1_walk(parse_chain(f"{side}:{side}"), n)) - {()}
+        for word in walked:
+            assert set(direct_sum_blocks(word)) <= allowed, (side, word)
+        sums = [{()}]
+        for m in range(1, n + 1):
+            sums.append({
+                head + tuple(x + m - len(b) for x in b)
+                for b in allowed
+                if len(b) <= m
+                for head in sums[m - len(b)]
+            })
+        assert set().union(*sums[1:]) == walked, side
+
+
 @settings(max_examples=60, deadline=None)
 @given(chain_levels, st.integers(min_value=1, max_value=7))
 @example([[(1,)]], 3)

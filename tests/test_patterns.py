@@ -187,6 +187,24 @@ def test_insertion_rule_agrees_with_scan_oracle(pattern):
     assert len(words) == 4862
 
 
+class Unsliceable(tuple):
+    """A word that refuses to be sliced, as a reversed or shifted copy
+    would need."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError(f"sliced {key}")
+        return super().__getitem__(key)
+
+
+def test_every_insertion_rule_reads_the_word_in_place():
+    # The tree calls a rule on every node, so no rule copies the word.
+    for pattern, (_, rule, _, _) in _KERNELS.items():
+        for n in range(7):
+            for word in all_words(n):
+                assert list(rule(Unsliceable(word))) == list(rule(word)), (pattern, word)
+
+
 @pytest.mark.parametrize("pattern", PATTERNS_3, ids=lambda p: "".join(map(str, p)))
 def test_length3_kernel_agrees_with_scan_oracle(pattern):
     # Each kernel reads the power in place, so it runs here through the
@@ -209,9 +227,8 @@ def test_length3_kernel_agrees_with_matcher_past_one_machine_word(pattern):
     # free slot, hold values past bit 63 of the 312 kernel's bit set, which
     # 312, 213, 132 and 231 read plain, backward, complemented and both, far
     # beyond the exhaustive sizes.  Each grown word must avoid the pattern,
-    # which checks the insertion rule, backward for 132, 213 and 321, at
-    # those sizes too.  Swapping one adjacent pair of a copy may complete an
-    # occurrence, or may not.
+    # which checks the insertion rule at those sizes too.  Swapping one
+    # adjacent pair of a copy may complete an occurrence, or may not.
     rng = random.Random("".join(map(str, pattern)))
     rule = _KERNELS[pattern][1]
     avoids_pattern = _chain_predicate(((pattern,),))
