@@ -157,11 +157,7 @@ def _chain_predicate(levels: LevelValues, start: int = 0) -> Predicate:
             word = "reversed(w)" if backward else "w"
             if complement:
                 begin, entry = ("n1 = len(w) + 1",) + begin, f"n1 - {entry}"
-            if entry == "x":
-                head = (f"for v in {word}:",)
-            else:
-                head = (f"for x in {word}:", f"    v = {entry}")
-            lines += ["    " + line for line in begin + head]
+            lines += ["    " + line for line in begin + (f"for x in {word}:", f"    v = {entry}")]
             lines += ["        " + line for line in step]
             continue
         if depth not in built:

@@ -210,7 +210,7 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
         counted = ref.by_position_of_one[-1]
         if counted != len(words):
             problems.append(
-                f"ending-in-1 count mismatch at n={n}: the walk finds {len(words)}, "
+                f"ending-in-1 count mismatch at n={n}: growth finds {len(words)}, "
                 f"the block count gives {counted}"
             )
         if witness is None and len(classified) < len(words):

@@ -33,19 +33,19 @@ the pass over the cube rejects most of them, and neither the search for
 smaller child is pushed on level 1 alone, since its descendants may pass
 the deeper levels that it fails, and is yielded only if it passes them.
 The chains of the paper are the exception.  A chain whose tree prunes at
-level 2 has exactly two levels, and either its second level is exactly
-312 and its first contains 312, or the same with 231.  Every such
-avoider is a strong 312 (or 231) avoider: it and its square avoid the
-pattern.  Deleting the maximum of a strong 312 avoider leaves a strong
-312 avoider.  So the tree of the 312 side decides every child in full,
-its square first, before it is pushed, and its nodes at depth m are
-exactly the chain avoiders of size m.  The tree of the 231 side is its
-mirror: reverse complement maps a 231-side chain to a 312-side chain
-whose avoiders are the reverse complements of its own (see below), so
-walk_chain_avoiders walks the tree of that chain and yields the reverse
-complement of each word, and the walk only ever inserts the maximum.
-count_chain counts these chains without any tree, over direct sums of
-blocks (see the lemma below).
+level 2 has exactly two levels, and either its second level holds 312
+alone, listed once or more, and its first contains 312, or the same with
+231.  Every such avoider is a strong 312 (or 231) avoider: it and its
+square avoid the pattern.  Deleting the maximum of a strong 312 avoider
+leaves a strong 312 avoider.  So the tree of the 312 side decides every
+child in full, its square first, before it is pushed, and its nodes at
+depth m are exactly the chain avoiders of size m.  The tree of the 231
+side is its mirror: reverse complement maps a 231-side chain to a
+312-side chain whose avoiders are the reverse complements of its own
+(see below), so walk_chain_avoiders walks the tree of that chain and
+yields the reverse complement of each word, and the walk only ever
+inserts the maximum.  count_chain counts these chains without any tree,
+over direct sums of blocks (see the lemma below).
 
 Proof that a strong 312 avoider pi of size n stays strong when n is
 deleted (U(s, k) is the word (k+1)(k+2)...s k(k-1)...1):
@@ -281,9 +281,9 @@ class CountRefinement(Frozen):
 def _strong_side(levels: LevelValues) -> bool | None:
     """True on the 312 side and False on the 231 side when the chain's tree
     prunes at level 2 (see the module docstring): the chain has exactly two
-    levels, the second is 312 (or 231) alone and the first contains it.
-    None for every other chain."""
-    square = levels[1][0] if len(levels) == 2 and len(levels[1]) == 1 else None
+    levels, the second is 312 (or 231) alone, listed once or more, and the
+    first contains it.  None for every other chain."""
+    square = levels[1][0] if len(levels) == 2 and len(set(levels[1])) == 1 else None
     if square in ((3, 1, 2), (2, 3, 1)) and square in levels[0]:
         return square == (3, 1, 2)
     return None

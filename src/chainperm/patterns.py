@@ -104,7 +104,6 @@ def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
         (nearest(s, range(v - 1, 0, -1)), nearest(s, range(v + 1, k + 1)))
         for s, v in enumerate(pattern)
     ]
-    used = {t for pair in bounds for t in pair if t is not None}
 
     def params(a: int) -> str:
         """The arguments of the function for the slots from a on: the word,
@@ -120,26 +119,18 @@ def _matcher(pattern: tuple[int, ...], pinned: bool = False) -> Matcher:
             lines = [f"def _m{a}({params(a)}):"]
         else:
             lines = [f"def _m0({'w, p' if pinned else 'w'}):", "    n = len(w)"]
-        ends = {}
-        for s in range(a, b):
-            ref, gap = ("p", top - s - 1) if top is not None and s < top else ("n", k - s - 1)
-            ends[s] = f"e{s}" if gap else ref
-            if gap and s != top:
-                lines.append(f"    e{s} = {ref} - {gap}")
         pad = "    "
         for s in range(a, b):
             if s == top:
                 lines.append(f"{pad}i{s} = p")
                 continue
             start = f"i{s - 1} + 1" if s else "0"
-            lines.append(f"{pad}for i{s} in range({start}, {ends[s]}):")
+            ref, gap = ("p", top - s - 1) if top is not None and s < top else ("n", k - s - 1)
+            lines.append(f"{pad}for i{s} in range({start}, {ref} - {gap}):")
+            lines.append(f"{pad}    v{s} = w[i{s}]")
             pad += "    "
-            value = f"w[i{s}]"
-            if s in used:
-                lines.append(f"{pad}v{s} = {value}")
-                value = f"v{s}"
             lo, hi = bounds[s]
-            test = [f"v{lo}"] * (lo is not None) + [value] + [f"v{hi}"] * (hi is not None)
+            test = [f"v{lo}"] * (lo is not None) + [f"v{s}"] + [f"v{hi}"] * (hi is not None)
             if len(test) > 1:
                 lines.append(f"{pad}if {' < '.join(test)}:")
                 pad += "    "

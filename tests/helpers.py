@@ -56,6 +56,14 @@ def compose_words(outer, inner):
     return tuple(outer[j - 1] for j in inner)
 
 
+def inverse_word(word):
+    """The inverse permutation: the position of each value, 1-based."""
+    inverse = [0] * len(word)
+    for i, v in enumerate(word, start=1):
+        inverse[v - 1] = i
+    return tuple(inverse)
+
+
 def power_word(word, k):
     result = tuple(range(1, len(word) + 1))
     for _ in range(k):

@@ -368,7 +368,7 @@ def test_structure_block_count_mismatch_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "structure", "--n-max", "5")
     assert code == 1
     assert err.splitlines() == [
-        "ending-in-1 count mismatch at n=4: the walk finds 2, the block count gives 3",
+        "ending-in-1 count mismatch at n=4: growth finds 2, the block count gives 3",
     ]
     rows = parse_csv(out)
     assert len(rows) == 5

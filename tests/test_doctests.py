@@ -1,4 +1,6 @@
-"""Run the usage examples embedded in the library docstrings and the README."""
+"""Run the usage examples embedded in the library docstrings and the README,
+and read the library's source: its prose names attributes that exist, and
+its code holds no assert statement."""
 
 import ast
 import doctest
@@ -67,3 +69,15 @@ def test_docstrings_and_comments_name_existing_attributes():
                     at = line + text.count("\n", 0, found.start())
                     stale.append(f"{path.name}:{at}: {found.group()}")
     assert not stale
+
+
+def test_library_holds_no_assert_statement():
+    # python -O strips assert statements, so no check that the library
+    # relies on may be one.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(chainperm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from chainperm import (
     chain_avoids,
     count_chain,
     evaluate,
+    formula_by_tag,
     formula_table,
     generate_sn,
     identity,
@@ -26,7 +28,14 @@ from chainperm import (
 from chainperm.chains import _chain_predicate
 from chainperm.enumeration import walk_chain_avoiders
 from chainperm import enumeration
-from helpers import all_words, scan_chain_avoids, scan_contains, scan_count_chain
+from helpers import (
+    all_words,
+    inverse_word,
+    power_word,
+    scan_chain_avoids,
+    scan_contains,
+    scan_count_chain,
+)
 from strategies import chain_levels, pattern_words
 
 TABLE_CHAINS = [c for f in formula_table() for c in (f.chain_231, f.chain_312)]
@@ -212,11 +221,36 @@ def test_only_two_level_strong_chains_prune():
     assert side("312:312") is True
     assert side("2143,312:312") is True
     assert side("312,231:231") is False
+    assert side("312:312,312") is True
+    assert side("231:231,231") is False
+    assert side("312,3214:312,312") is True
     for text in (
         "312:312:312", "231:231:231", "312", "312:123", "312:231", "231:312",
         "123:312", "312:312,123", "3124:312", "13245:2143:312",
     ):
         assert side(text) is None, text
+
+
+def test_a_square_listed_twice_counts_over_blocks(root_walks, block_counts):
+    # Listing the square's pattern twice names the same set of patterns, so
+    # the chain prunes like the one without the duplicate: one count over
+    # blocks, no tree, and the same counts and splits.
+    n = 13
+    for text, plain in (
+        ("312:312,312", "312:312"),
+        ("231:231,231", "231:231"),
+        ("312,3214:312,312", "312,3214:312"),
+    ):
+        block_counts.clear()
+        count_chain(n, parse_chain(text))
+        assert len(block_counts) == 1, text
+        count_chain(n, parse_chain(plain))
+        got, want = (
+            [(ref.total, ref.by_position_of_one) for ref in enumeration._COUNTS[parse_chain(t)]]
+            for t in (text, plain)
+        )
+        assert got == want, text
+    assert root_walks == []
 
 
 def test_strong_avoiders_are_closed_under_deleting_the_extreme():
@@ -274,6 +308,29 @@ def test_strong_avoiders_are_exactly_the_sums_of_the_lemma_blocks():
                 for head in sums[m - len(b)]
             })
         assert set().union(*sums[1:]) == walked, side
+
+
+def test_power_lemma_on_the_blocks_and_the_strong_avoiders():
+    # Every block U(s, k) = id_a - delta_b of a strong 312 avoider, with
+    # a = s - k and b = k, has beta^2 = delta_a + id_(b-a) + delta_a,
+    # beta^3 = delta_b - id_a and beta^4 = id, so every strong 312 or 231
+    # avoider pi, a direct sum of such blocks or of their reverse
+    # complements, has pi^4 = id.  The words are built here, and the
+    # avoiders found on the level-1 tree, which assumes no step of the proof.
+    for s in range(2, 40):
+        for k in range((s + 1) // 2, s):
+            a, b = s - k, k
+            beta = tuple(range(b + 1, s + 1)) + tuple(range(b, 0, -1))
+            assert power_word(beta, 2) == (
+                tuple(range(a, 0, -1)) + tuple(range(a + 1, b + 1)) + tuple(range(s, b, -1))
+            ), (s, k)
+            assert power_word(beta, 3) == tuple(range(s, a, -1)) + tuple(range(1, a + 1)), (s, k)
+            assert power_word(beta, 4) == tuple(range(1, s + 1)), (s, k)
+    n = 11
+    walked = [w for side in ("312", "231") for w in level1_walk(parse_chain(f"{side}:{side}"), n)]
+    assert len(walked) == 2 + 2 * 3391  # the empty word and sizes 1 to 11, on each side
+    for word in walked:
+        assert power_word(word, 4) == tuple(range(1, len(word) + 1)), word
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,6 +447,53 @@ def test_automaton_keeps_exactly_the_patterns_strong_avoiders_contain():
         assert len(kept) == 48
         assert all(avoids(Permutation(sigma), tau) for sigma in dropped)
         assert not kept.intersection(dropped)
+
+
+def inverse_chain(chain):
+    """The chain with every pattern replaced by its inverse."""
+    return ChainSpec(map(inverse_word, level) for level in chain.levels)
+
+
+def test_inverse_chains_have_equal_counts(root_walks, block_counts):
+    # pi satisfies a chain exactly when its inverse satisfies the inverse
+    # chain: inverse commutes with powers, (pi^k)^-1 = (pi^-1)^k, and
+    # transposing both diagrams maps each occurrence of tau in a word to
+    # one of tau^-1 in the inverse word.  312^-1 = 231, so the inverse of
+    # a table chain is a strong chain of the other side, counted over
+    # blocks, and six of them lie outside the table.
+    n = 60
+    for chain in TABLE_CHAINS:
+        inverse = inverse_chain(chain)
+        for c in (chain, inverse):
+            count_chain(n, c, force=True)
+        got, want = ([ref.total for ref in enumeration._COUNTS[c]] for c in (inverse, chain))
+        assert got == want, chain
+    outside = {inverse_chain(c).text() for c in TABLE_CHAINS} - {c.text() for c in TABLE_CHAINS}
+    assert len(block_counts) == len(TABLE_CHAINS) + len(outside)
+    assert root_walks == []
+    assert outside == {
+        "312,1432:312", "231,3214:231", "312,1342:312",
+        "231,3124:231", "312,1243:312", "231,2134:231",
+    }
+    t33, t35 = formula_by_tag("T33"), formula_by_tag("T35")
+    assert {inverse_chain(t33.chain_231), inverse_chain(t33.chain_312)} == {
+        t35.chain_231, t35.chain_312
+    }
+
+
+def test_random_inverse_chains_match_the_scan_oracle():
+    # Seeded chains of 1 to 3 levels with patterns of length 2 to 4, few of
+    # which prune, against the scan oracle on the inverse chain.
+    rng = random.Random(1)
+    n = 6
+    for _ in range(40):
+        chain = ChainSpec(
+            [rng.sample(range(1, k + 1), k) for k in rng.choices((2, 3, 4), k=rng.randint(1, 2))]
+            for _ in range(rng.randint(1, 3))
+        )
+        inverse = inverse_chain(chain)
+        assert totals(chain, n) == totals(inverse, n), chain
+        assert totals(inverse, n) == [scan_count_chain(m, inverse.levels)[0] for m in range(1, n + 1)], chain
 
 
 def test_counts_are_kept_per_chain(root_walks, block_counts):
