@@ -29,9 +29,9 @@ the counts of 312:312.
              sits last
 
 Exit codes: 0 all checks agree, 1 exactly when a problem line (a
-disagreement or counterexample) is printed, 2 usage or parse error or
-an unwritable --out, 130 interrupted (Ctrl-C).  verify's "no rows"
-notice is not a problem line and exits 0.
+disagreement or counterexample) is printed, 2 usage or parse error or a
+report that cannot be written, to --out or to stdout, 130 interrupted
+(Ctrl-C).  verify's "no rows" notice is not a problem line and exits 0.
 """
 
 import argparse
@@ -102,8 +102,7 @@ def render_report(rows: list[dict], fmt: str) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_FIELDS)
-    for row in rows:
-        writer.writerow(map(_cell, row.values()))
+    writer.writerows(map(_cell, row.values()) for row in rows)
     return buffer.getvalue()
 
 
@@ -190,13 +189,12 @@ def cmd_structure(args: argparse.Namespace) -> Outcome:
     # step 2 of that proof.  Criterion 4 and
     # tests/test_cli.py::test_structure_report_matches_scan_oracle assume
     # neither: they scan every word that ends in 1 for n <= 9.
-    ending_in_1 = [[(1,)]]
-    for n in range(1, args.n_max):
-        children = (w[:i] + (n + 1,) + w[i:] for w in ending_in_1[-1] for i in range(n))
-        ending_in_1.append([c for c in children if strongly_avoids(Permutation(c), _PATTERN_312)])
     text = _CHAIN_312_312.text()
-    rows, problems, witness = [], [], None
-    for n, (words, ref) in enumerate(zip(ending_in_1, counts), 1):
+    rows, problems, witness, words = [], [], None, [(1,)]
+    for n, ref in enumerate(counts, 1):
+        if n > 1:
+            children = (w[:i] + (n,) + w[i:] for w in words for i in range(n - 1))
+            words = [c for c in children if strongly_avoids(Permutation(c), _PATTERN_312)]
         classified = {
             w for w in words if classify_strong_312_ending_in_1(Permutation(w)) is not None
         }
@@ -278,7 +276,16 @@ def main(argv: list[str] | None = None) -> int:
         # the run then fails.
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as report:
             rows, problems = args.func(args)
-            report.write(render_report(rows, args.format))
+            try:
+                report.write(render_report(rows, args.format))
+                report.flush()
+            except OSError:
+                if not args.out:
+                    # Python flushes stdout again at exit, which would fail
+                    # too and exit 120; what is left goes to os.devnull (the
+                    # recipe of the signal module's note on SIGPIPE).
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
         for line in problems:
             print(line, file=sys.stderr)
         return 1 if problems else 0

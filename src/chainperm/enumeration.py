@@ -440,23 +440,22 @@ def _grow(
                     yield child
 
 
-def _split(lo: int, n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
-    """The given words of sizes lo to n, counted for each size by the
+def _split(n: int, words: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """The given words of sizes 1 to n, counted for each size by the
     position of 1."""
-    splits = [[0] * size for size in range(lo, n + 1)]
+    splits = [[0] * size for size in range(1, n + 1)]
     for word in words:
-        splits[len(word) - lo][word.index(1)] += 1
+        splits[len(word) - 1][word.index(1)] += 1
     return splits
 
 
-def _count_below(
-    lo: int, n: int, levels: LevelValues, nodes: Iterable[tuple[int, ...]]
-) -> list[list[int]]:
-    """One shard: the split of the chain avoiders of each size from lo to n
-    below the given tree nodes, which have size lo - 1.  A shard names its
-    chain by its level values, which pickle, where its compiled predicates
-    do not; a forked worker finds them in the cache it inherits."""
-    return _split(lo, n, _grow(nodes, n, levels))
+def _count_below(n: int, levels: LevelValues, nodes: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """One shard: the split of the chain avoiders of each size from 1 to n
+    below the given tree nodes, which is 0 up to the nodes' own size.  A
+    shard names its chain by its level values, which pickle, where its
+    compiled predicates do not; a forked worker finds them in the cache it
+    inherits."""
+    return _split(n, _grow(nodes, n, levels))
 
 
 # A pool runs only when the tree has at least this many nodes at its middle
@@ -488,24 +487,25 @@ def _walk(n: int, levels: LevelValues, jobs: int) -> list[list[int]]:
     """The split by the position of 1 for every size 1 to n, from one walk
     of the chain's level-1 tree (for a chain whose tree does not prune at
     level 2).  The parent grows the tree alone up to the middle
-    depth n // 2 and counts the chain avoiders among those nodes; below
-    each node of size n // 2, a shard counts the deeper sizes.  The
+    depth n // 2, and its first shard counts the chain avoiders among
+    those nodes; below each node of size n // 2, a shard counts the
+    deeper sizes.  Each size's split is the sum over all shards.  The
     shards start from tree nodes, not from chain avoiders: a node that
     fails the deeper levels can still have descendants that pass them."""
     half = n // 2
     top = list(_grow([()], half, levels[:1]))
-    frontier = [word for word in top if len(word) == half] if half else [()]
-    splits = _split(1, half, filter(_chain_predicate(levels, 1), top))
+    frontier = [word for word in [()] + top if len(word) == half]
+    shards = [_split(n, filter(_chain_predicate(levels, 1), top))]
     workers = _pool_size(jobs, len(frontier)) if len(frontier) >= MIN_POOL_FRONTIER else 1
     if workers == 1:
-        shards = [_count_below(half + 1, n, levels, frontier)]
+        shards.append(_count_below(n, levels, frontier))
     else:
         # Imported only where a pool opens, so that the many runs that open
         # none do not pay for the imports.
         import multiprocessing
         import signal
 
-        tasks = [(half + 1, n, levels, (node,)) for node in frontier]
+        tasks = [(n, levels, (node,)) for node in frontier]
         # Workers start with SIGINT blocked and keep it blocked, so Ctrl-C
         # interrupts only this process, whose leaving the with block
         # terminates them.
@@ -515,8 +515,8 @@ def _walk(n: int, levels: LevelValues, jobs: int) -> list[list[int]]:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with pool:
-            shards = pool.starmap(_count_below, tasks)
-    return splits + [[sum(col) for col in zip(*sizes)] for sizes in zip(*shards)]
+            shards += pool.starmap(_count_below, tasks)
+    return [[sum(col) for col in zip(*sizes)] for sizes in zip(*shards)]
 
 
 # The counts of every chain walked in this process, for sizes 1 to the

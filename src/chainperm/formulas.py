@@ -134,26 +134,24 @@ _ROWS = (
     ("T44", "2143", 1, *_T43),
 )
 
-# Each row of the table and the closed form it claims, in tag order.
-_CLAIMS: dict[FormulaId, Callable[[int], int]] = {
-    FormulaId(tag, parse_chain(f"231,{side}:231"), valid_from, description): form
+# Each tag's row of the table and the closed form it claims, in tag order.
+_CLAIMS: dict[str, tuple[FormulaId, Callable[[int], int]]] = {
+    tag: (FormulaId(tag, parse_chain(f"231,{side}:231"), valid_from, description), form)
     for tag, side, valid_from, description, form in _ROWS
 }
-
-_BY_TAG = {row.tag: row for row in _CLAIMS}
 
 
 def formula_table() -> list[FormulaId]:
     """All nine rows, in tag order."""
-    return list(_CLAIMS)
+    return [row for row, _ in _CLAIMS.values()]
 
 
 def formula_by_tag(tag: str) -> FormulaId:
     """Look one row up by tag, e.g. 'T41'."""
     try:
-        return _BY_TAG[tag]
+        return _CLAIMS[tag][0]
     except KeyError:
-        known = ", ".join(sorted(_BY_TAG))
+        known = ", ".join(sorted(_CLAIMS))
         raise ValueError(f"unknown formula tag {tag!r} (known: {known})") from None
 
 
@@ -166,8 +164,8 @@ def evaluate(formula: FormulaId, n: int) -> int:
     >>> evaluate(formula_by_tag("T34"), 6)
     32
     """
-    form = _CLAIMS.get(formula)
-    if form is None:
+    row, form = _CLAIMS.get(formula.tag, (None, None))
+    if formula != row:
         raise ValueError(f"{formula.tag}: not a row of the formula table")
     if n < formula.valid_from:
         raise ValueError(

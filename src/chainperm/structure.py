@@ -7,7 +7,6 @@ n...21, so for n >= 2 the valid breakpoints outnumber the distinct
 words by one.
 """
 
-from .formulas import _ceil_half
 from .perm import Permutation
 
 
@@ -15,7 +14,7 @@ def breakpoint_range(n: int) -> range:
     """All valid breakpoints for size n, i.e. ceil(n/2) <= k <= n."""
     if n < 1:
         raise ValueError("size must be >= 1")
-    return range(_ceil_half(n), n + 1)
+    return range((n + 1) // 2, n + 1)
 
 
 def build_unimodal(n: int, k: int) -> Permutation:
@@ -37,16 +36,18 @@ def classify_strong_312_ending_in_1(pi: Permutation) -> int | None:
     """The breakpoint of pi if it has the strongly 312-avoiding shape.
 
     Requires pi to end in 1.  Returns None when pi is not of the form
-    built by build_unimodal with an admissible breakpoint.  The
-    decreasing word matches both k = n - 1 and k = n; the larger one is
-    returned.
+    built by build_unimodal with an admissible breakpoint.  The word of
+    k starts with k + 1, except that of k = n, which starts with n; so
+    the first entry names the one candidate k, and only its word is
+    built.  The decreasing word matches both k = n - 1 and k = n; the
+    larger one is returned.
     """
     values = pi.values
     if not values or values[-1] != 1:
         raise ValueError("classification applies only to permutations ending in 1")
     n = len(values)
-    matches = (k for k in breakpoint_range(n) if build_unimodal(n, k).values == values)
-    return max(matches, default=None)
+    k = n if values[0] == n else values[0] - 1
+    return k if k in breakpoint_range(n) and build_unimodal(n, k).values == values else None
 
 
 def count_strong_312_ending_in_1(n: int) -> int:
@@ -59,6 +60,10 @@ def count_strong_312_ending_in_1(n: int) -> int:
 
 
 def unimodal_forms(n: int) -> list[Permutation]:
-    """The distinct admissible words at size n, in lexicographic order."""
-    forms = {build_unimodal(n, k).values for k in breakpoint_range(n)}
-    return [Permutation(word) for word in sorted(forms)]
+    """The distinct admissible words at size n, in lexicographic order.
+
+    k = n gives the word of k = n - 1, so one word is built for each k
+    from ceil(n/2) to n - 1, or the word 1 at n = 1.  The word of k
+    starts with k + 1, so they come in lexicographic order.
+    """
+    return [build_unimodal(n, k) for k in range(breakpoint_range(n).start, max(n, 2))]

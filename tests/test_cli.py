@@ -411,6 +411,42 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
     assert counted == []
 
 
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "open_stdout, message",
+    (
+        pytest.param(
+            lambda: os.open("/dev/full", os.O_WRONLY),
+            "[Errno 28] No space left on device",
+            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full"),
+            id="full",
+        ),
+        pytest.param(closed_pipe, "[Errno 32] Broken pipe", id="closed-pipe"),
+    ),
+)
+def test_unwritable_stdout_is_an_error(unbuffered, open_stdout, message):
+    # Block-buffered, the report reaches stdout only when it is flushed;
+    # unflushed, Python would flush it at exit, print "Exception ignored"
+    # and exit 120.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "chainperm", "count", "--chain", "312", "--n-max", "3"]
+    stdout = open_stdout()
+    try:
+        result = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+
 def test_verify_counts_each_chain_once(capsys, root_walks, block_counts):
     # Every subcommand counts each of its chains once, to n_max: a chain
     # that prunes at level 2 by one count over sums of blocks, any other

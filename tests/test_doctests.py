@@ -81,3 +81,25 @@ def test_library_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports names to export them; every other module must
+    # load each name it imports, so that a leftover import cannot stay.
+    unused = []
+    for path in sorted(Path(chainperm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused

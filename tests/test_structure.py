@@ -137,3 +137,36 @@ def test_forms_match_the_unpruned_tree_of_312():
             if strongly_avoids(Permutation(candidate), tau):
                 strong.add(candidate)
         assert strong == {p.values for p in unimodal_forms(n)}, n
+
+
+def searched_forms(n):
+    """The forms as the search found them: the sorted set of the words of
+    every admissible breakpoint, k = n included."""
+    words = {build_unimodal(n, k).values for k in breakpoint_range(n)}
+    return [Permutation(word) for word in sorted(words)]
+
+
+def searched_breakpoints(n):
+    """The classifier as a search, for every word at once: each word that
+    some admissible breakpoint builds, mapped to the largest such k (the
+    later k overwrites the earlier)."""
+    return {build_unimodal(n, k).values: k for k in breakpoint_range(n)}
+
+
+def test_reading_the_breakpoint_matches_the_search():
+    for n in range(1, 61):
+        assert unimodal_forms(n) == searched_forms(n), n
+        breakpoints = searched_breakpoints(n)
+        words = {form.values for form in unimodal_forms(n)}
+        # Every swap of two entries before the final 1: one entry off
+        # the shape, or a form turned into another.
+        for form in list(words):
+            for i in range(n - 1):
+                for j in range(i + 1, n - 1):
+                    word = list(form)
+                    word[i], word[j] = word[j], word[i]
+                    words.add(tuple(word))
+        if n <= 8:
+            words.update(w for w in all_words(n) if w[-1] == 1)
+        for word in words:
+            assert classify(Permutation(word)) == breakpoints.get(word), word
