@@ -6,67 +6,45 @@ S1, pi squared avoids everything in S2, and so on.  The package
 enumerates chain avoiders exactly, evaluates the nine built-in
 closed forms for their counts, and checks the structure of strongly
 312-avoiding permutations that end in 1.
+
+The public names are listed once, in _EXPORTS, under the module that
+defines them.  A bare ``import chainperm`` loads none of those modules:
+each loads the first time one of its names is read from the package
+(PEP 562), and the value is then kept in the package namespace.  The
+command line (chainperm.cli) imports all six at start-up.
 """
 
-from .chains import ChainSpec, chain_avoids, parse_chain, strongly_avoids
-from .enumeration import (
-    MAX_ENUMERATION_N,
-    CountRefinement,
-    count_chain,
-    generate_sn,
-    walk_chain_avoiders,
-)
-from .formulas import (
-    FormulaId,
-    ceiling_half_sum,
-    evaluate,
-    fibonacci,
-    formula_by_tag,
-    formula_table,
-    lucas,
-)
-from .patterns import Pattern, avoids, contains, find_occurrence, parse_pattern
-from .perm import ParseError, Permutation, identity, parse_permutation, reverse_identity
-from .structure import (
-    breakpoint_range,
-    build_unimodal,
-    classify_strong_312_ending_in_1,
-    count_strong_312_ending_in_1,
-    unimodal_forms,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainSpec",
-    "CountRefinement",
-    "FormulaId",
-    "MAX_ENUMERATION_N",
-    "ParseError",
-    "Pattern",
-    "Permutation",
-    "avoids",
-    "breakpoint_range",
-    "build_unimodal",
-    "ceiling_half_sum",
-    "chain_avoids",
-    "classify_strong_312_ending_in_1",
-    "contains",
-    "count_chain",
-    "count_strong_312_ending_in_1",
-    "evaluate",
-    "fibonacci",
-    "find_occurrence",
-    "formula_by_tag",
-    "formula_table",
-    "generate_sn",
-    "identity",
-    "lucas",
-    "parse_chain",
-    "parse_pattern",
-    "parse_permutation",
-    "reverse_identity",
-    "strongly_avoids",
-    "unimodal_forms",
-    "walk_chain_avoiders",
-]
+_EXPORTS = {
+    "chains": ("ChainSpec", "chain_avoids", "parse_chain", "strongly_avoids"),
+    "enumeration": (
+        "MAX_ENUMERATION_N", "CountRefinement", "count_chain", "generate_sn", "walk_chain_avoiders"
+    ),
+    "formulas": (
+        "FormulaId", "ceiling_half_sum", "evaluate", "fibonacci", "formula_by_tag",
+        "formula_table", "lucas",
+    ),
+    "patterns": ("Pattern", "avoids", "contains", "find_occurrence", "parse_pattern"),
+    "perm": ("ParseError", "Permutation", "identity", "parse_permutation", "reverse_identity"),
+    "structure": (
+        "breakpoint_range", "build_unimodal", "classify_strong_312_ending_in_1",
+        "count_strong_312_ending_in_1", "unimodal_forms",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

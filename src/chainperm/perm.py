@@ -10,7 +10,7 @@ sizes use comma-separated values ("10,3,1,...").  The parser accepts
 either form.
 """
 
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable
 
 
@@ -91,10 +91,14 @@ class Permutation(Frozen):
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]) -> None:
-        values = tuple(values)
-        n = len(values)
+        given = tuple(values)
+        n = len(given)
+        try:
+            values = tuple(map(index, given))
+        except TypeError:
+            values = ()  # a value that is not an integer matches no permutation
         if sorted(values) != list(range(1, n + 1)):
-            raise ValueError(f"{values!r} is not a permutation of 1..{n}")
+            raise ValueError(f"{given!r} is not a permutation of 1..{n}")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:

@@ -527,6 +527,60 @@ def test_start_up_imports_only_what_a_run_uses():
     assert counted.stderr == bare.stderr
 
 
+def loaded_modules(code):
+    """The chainperm modules a fresh interpreter holds after running code."""
+    report = "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('chainperm')))"
+    result = run_child([sys.executable, "-c", code + report])
+    assert result.returncode == 0, describe(result)
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_package_loads_a_module_when_one_of_its_names_is_read():
+    # chainperm/__init__.py lists each public name under the module that
+    # defines it and imports that module when the name is first read.
+    assert loaded_modules("import chainperm") == ["chainperm"]
+    assert loaded_modules("import chainperm; hasattr(chainperm, 'nope')") == ["chainperm"]
+    assert loaded_modules("from chainperm import Permutation") == ["chainperm", "chainperm.perm"]
+    assert "chainperm.enumeration" in loaded_modules("from chainperm import enumeration")
+    # The command line imports every library module at start-up, as
+    # perfbench/tracing.py wraps names of chainperm.cli that they define.
+    library = ("chains", "cli", "enumeration", "formulas", "patterns", "perm", "structure")
+    assert loaded_modules("import chainperm.cli") == ["chainperm"] + [
+        f"chainperm.{name}" for name in library
+    ]
+
+
+def test_every_exported_name_resolves_and_star_import_binds_them_all():
+    # In a fresh interpreter, so that each name is first read through the
+    # package's __getattr__.
+    code = (
+        "import importlib, chainperm\n"
+        "assert chainperm.__all__ == sorted(chainperm.__all__) and len(chainperm.__all__) == 31\n"
+        "assert {'__all__', '__version__', *chainperm.__all__} <= set(dir(chainperm))\n"
+        "names = {}\n"
+        "exec('from chainperm import *', names)\n"
+        "assert sorted(set(names) - {'__builtins__'}) == chainperm.__all__\n"
+        "assert set(chainperm.__all__) <= set(vars(chainperm))\n"
+        "for name in chainperm.__all__:\n"
+        "    owner = importlib.import_module('chainperm.' + chainperm._MODULE_OF[name])\n"
+        "    assert names[name] is getattr(chainperm, name) is getattr(owner, name), name\n"
+        "try:\n"
+        "    chainperm.nope\n"
+        "except AttributeError as error:\n"
+        "    print(error)\n"
+    )
+    result = run_child([sys.executable, "-c", code])
+    assert result.returncode == 0, describe(result)
+    assert result.stdout == "module 'chainperm' has no attribute 'nope'\n"
+    # A private name of a library module is not a name of the package.
+    with pytest.raises(AttributeError, match="'_counts'"):
+        chainperm._counts
+
+
+def test_version_matches_pyproject():
+    assert chainperm.__version__ == declared_project()["version"]
+
+
 def test_importing_the_cli_compiles_no_matcher():
     # Each pattern's search and each chain predicate is compiled on first
     # use, never at start-up.

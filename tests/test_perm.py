@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainperm import (
+    ChainSpec,
     ParseError,
+    Pattern,
     Permutation,
+    contains,
     identity,
     parse_permutation,
     reverse_identity,
@@ -26,6 +29,36 @@ perms = st.integers(min_value=0, max_value=8).flatmap(words).map(
 
 def test_constructor_rejects_non_bijections():
     for bad in ((1, 3), (2, 2), (0, 1), (1, 2, 4), (-1,)):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+
+
+class Two:
+    """An integer type other than int: it converts to 2 through __index__."""
+
+    def __index__(self):
+        return 2
+
+
+def test_constructor_stores_integer_values_as_ints():
+    # Values that equal integers but are not integers were once kept as
+    # given: (1.0, 2.0) read '1.02.0' yet hashed like (1, 2).
+    for given in ((True, 2), (1, Two()), [True, Two()]):
+        pi = Permutation(given)
+        assert pi.values == (1, 2)
+        assert [type(v) for v in pi.values] == [int, int]
+        assert pi.text() == "12"
+        assert pi == Permutation((1, 2)) and hash(pi) == hash(Permutation((1, 2)))
+
+
+def test_constructor_rejects_values_that_are_not_integers():
+    with pytest.raises(ValueError, match=r"^\(1\.0, 2\.0\) is not a permutation of 1\.\.2$"):
+        Permutation((1.0, 2.0))
+    with pytest.raises(ValueError, match="is not a permutation"):
+        ChainSpec([[(2.0, 3, 1)]])
+    with pytest.raises(ValueError, match="is not a permutation"):
+        contains(Permutation((3, 1, 2)), Pattern((2.0, 1.0)))
+    for bad in (("1", "2"), (1, None), (1.5,)):
         with pytest.raises(ValueError):
             Permutation(bad)
 
