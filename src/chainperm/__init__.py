@@ -28,7 +28,7 @@ _EXPORTS = {
         "formula_table", "lucas",
     ),
     "patterns": ("Pattern", "avoids", "contains", "find_occurrence", "parse_pattern"),
-    "perm": ("ParseError", "Permutation", "identity", "parse_permutation", "reverse_identity"),
+    "perm": ("ParseError", "Permutation", "parse_permutation"),
     "structure": (
         "breakpoint_range", "build_unimodal", "classify_strong_312_ending_in_1",
         "count_strong_312_ending_in_1", "unimodal_forms",

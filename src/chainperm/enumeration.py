@@ -228,7 +228,10 @@ from .perm import Frozen, Permutation, _reverse_complement
 MAX_ENUMERATION_N = 14
 
 
-def _check_size(n: int, force: bool) -> None:
+def _check_size(n: int, force: bool) -> int:
+    """The size n as an int, once it is checked; any value that is not an
+    integer raises TypeError."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("size must be >= 0")
     if n > MAX_ENUMERATION_N and not force:
@@ -236,6 +239,7 @@ def _check_size(n: int, force: bool) -> None:
             f"n={n} is above the supported enumeration bound "
             f"{MAX_ENUMERATION_N}; pass force=True (CLI: --force) to run anyway"
         )
+    return n
 
 
 def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
@@ -244,7 +248,7 @@ def generate_sn(n: int, *, force: bool = False) -> Iterator[Permutation]:
     >>> [str(p) for p in generate_sn(3)]
     ['123', '132', '213', '231', '312', '321']
     """
-    _check_size(n, force)
+    n = _check_size(n, force)
     return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
@@ -254,7 +258,9 @@ class CountRefinement(Frozen):
     by_position_of_one[i - 1] counts the avoiders whose value 1 sits at
     position i.  The size n is the split's length and the total its sum;
     the split is empty only for n = 0, where no position holds a 1, and
-    the empty word is then the one avoider, so the total is 1.
+    the empty word is then the one avoider, so the total is 1.  Each entry
+    is stored as an int through operator.index, so an entry that is not an
+    integer raises TypeError.
     """
 
     __slots__ = ("chain", "by_position_of_one")
@@ -263,7 +269,7 @@ class CountRefinement(Frozen):
     by_position_of_one: tuple[int, ...]
 
     def __init__(self, chain: ChainSpec, by_position_of_one: Iterable[int]) -> None:
-        by_position_of_one = tuple(by_position_of_one)
+        by_position_of_one = tuple(map(operator.index, by_position_of_one))
         if min(by_position_of_one, default=0) < 0:
             raise ValueError("refinement entries must be >= 0")
         object.__setattr__(self, "chain", chain)
@@ -534,12 +540,15 @@ def count_chain(
     every other chain by walking its generating tree.  One count to n
     counts every size from 1 to n, and those counts are kept per chain for
     the life of the process: a later call for a size up to n is a lookup,
-    and one for a larger size counts again and replaces them.  jobs > 1
-    allows a process pool for large trees (see MIN_POOL_FRONTIER); it does
-    not apply to the chains counted over blocks, which never open a pool.
-    Results do not depend on the worker count.
+    and one for a larger size counts again and replaces them.  jobs must
+    be at least 1, and jobs > 1 allows a process pool for large trees (see
+    MIN_POOL_FRONTIER); it does not apply to the chains counted over
+    blocks, which never open a pool.  Results do not depend on the worker
+    count.
     """
-    _check_size(n, force)
+    n = _check_size(n, force)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if n == 0:
         return CountRefinement(chain, ())
     counts = _COUNTS.get(chain, ())
@@ -567,7 +576,7 @@ def walk_chain_avoiders(
     >>> sorted(walk_chain_avoiders(3, parse_chain("312:312")))
     [(), (1,), (1, 2), (1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (3, 2, 1)]
     """
-    _check_size(n, force)
+    n = _check_size(n, force)
     mirror = _strong_side(chain.levels) is False
     grown = _grow([()], n, (chain.reverse_complement() if mirror else chain).levels)
     if mirror:

@@ -7,6 +7,7 @@ All arithmetic is integer only; the divisions in T42, T43 and T44 are
 exact and checked.
 """
 
+from operator import index
 from typing import Callable
 
 from .chains import ChainSpec, parse_chain
@@ -51,9 +52,9 @@ def ceiling_half_sum(n: int) -> int:
 
     Equals k^2 + k when n = 2k and k^2 + 2k + 1 when n = 2k + 1.
     """
+    k, odd = divmod(index(n), 2)
     if n < 1:
         raise ValueError("ceiling_half_sum is defined for n >= 1")
-    k, odd = divmod(n, 2)
     if odd:
         return k * k + 2 * k + 1
     return k * k + k
@@ -164,6 +165,7 @@ def evaluate(formula: FormulaId, n: int) -> int:
     >>> evaluate(formula_by_tag("T34"), 6)
     32
     """
+    n = index(n)
     row, form = _CLAIMS.get(formula.tag, (None, None))
     if formula != row:
         raise ValueError(f"{formula.tag}: not a row of the formula table")

@@ -178,28 +178,6 @@ class Permutation(Frozen):
         return Permutation(tuple(v + shift for v in self.values) + other.values)
 
 
-def identity(n: int) -> Permutation:
-    """The increasing word 1 2 ... n.
-
-    >>> str(identity(4))
-    '1234'
-    """
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def reverse_identity(n: int) -> Permutation:
-    """The decreasing word n ... 2 1.
-
-    >>> str(reverse_identity(4))
-    '4321'
-    """
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 _DIGITS = set("123456789")
 
 

@@ -15,7 +15,6 @@ from chainperm import (
     avoids,
     chain_avoids,
     count_chain,
-    identity,
     parse_chain,
     parse_pattern,
     parse_permutation,
@@ -153,7 +152,7 @@ def test_chain_compiles_once_per_start():
 
 
 def test_chain_avoids_examples():
-    assert chain_avoids(identity(4), parse_chain("231,312:231"))
+    assert chain_avoids(Permutation((1, 2, 3, 4)), parse_chain("231,312:231"))
     assert chain_avoids(parse_permutation("21543"), parse_chain("312,123:312"))
     assert not chain_avoids(parse_permutation("231"), parse_chain("312:312"))
 
@@ -180,7 +179,7 @@ def test_strongly_avoids_examples():
     tau = parse_pattern("312")
     assert not strongly_avoids(parse_permutation("34521"), tau)
     assert strongly_avoids(parse_permutation("3421"), tau)
-    assert strongly_avoids(identity(5), tau)
+    assert strongly_avoids(Permutation((1, 2, 3, 4, 5)), tau)
     assert strongly_avoids(parse_permutation("54321"), tau)
 
 
@@ -273,7 +272,7 @@ def test_three_level_chain():
             Permutation(word) for word in all_words(n)
             if chain_avoids(Permutation(word), chain)
         ]
-        assert survivors == [identity(n)]
+        assert survivors == [Permutation(tuple(range(1, n + 1)))]
 
 
 def test_levels_beyond_word_length_are_vacuous():

@@ -1,6 +1,7 @@
 """Run the usage examples embedded in the library docstrings and the README,
-and read the library's source: its prose names attributes that exist, and
-its code holds no assert statement."""
+and read the library's source: its prose names attributes that exist, its
+code holds no assert statement and parses as the oldest Python it supports,
+and each name it defines has a reader outside the tests."""
 
 import ast
 import doctest
@@ -16,6 +17,9 @@ import pytest
 import chainperm
 from chainperm import chains, enumeration, formulas, patterns, perm, structure
 
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted(Path(chainperm.__file__).parent.glob("*.py"))
+
 
 @pytest.mark.parametrize(
     "module", (perm, patterns, chains, enumeration, formulas, structure)
@@ -26,8 +30,7 @@ def test_module_doctests(module):
 
 
 def test_readme_quick_tour():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    result = doctest.testfile(str(readme), module_relative=False)
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
 
@@ -53,10 +56,9 @@ def test_docstrings_and_comments_name_existing_attributes():
     # README.md is read whole, as one piece of prose.
     names = [m.name for m in pkgutil.iter_modules(chainperm.__path__) if m.name[0] != "_"]
     reference = re.compile(rf"\b({'|'.join(names)})\.([A-Za-z_][A-Za-z0-9_]*)")
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     sources = [(readme, [(1, readme.read_text())])] + [
-        (path, prose(path.read_text()))
-        for path in sorted(Path(chainperm.__file__).parent.glob("*.py"))
+        (path, prose(path.read_text())) for path in LIBRARY
     ]
     stale = []
     for path, texts in sources:
@@ -76,7 +78,7 @@ def test_library_holds_no_assert_statement():
     # relies on may be one.
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(Path(chainperm.__file__).parent.glob("*.py"))
+        for path in LIBRARY
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
@@ -88,7 +90,7 @@ def test_no_module_imports_a_name_it_does_not_use():
     # so that a leftover import cannot stay. __init__.py exports its names
     # from a table, not by importing them.
     unused = []
-    for path in sorted(Path(chainperm.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         tree = ast.parse(path.read_text())
         loaded = {
             node.id
@@ -102,3 +104,79 @@ def test_no_module_imports_a_name_it_does_not_use():
                     if name not in loaded:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused
+
+
+def top_level_statements():
+    """Each top-level statement of every module of the library, with the
+    names it binds (by def, class or assignment) and the names it loads."""
+    for path in LIBRARY:
+        for statement in ast.parse(path.read_text()).body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {statement.name}
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                bound = {
+                    node.id
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                }
+            else:
+                bound = set()
+            loaded = {
+                node.id
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            yield path.name, bound, loaded
+
+
+def test_every_name_has_a_reader_outside_the_tests():
+    # A public name must be loaded by library code outside its own
+    # definition, named in backticks in README.md, or imported by the
+    # acceptance tests, whose criteria are the package's stated contract.
+    # A private top-level name must be loaded by library code outside its
+    # own definition.  Code that nothing else reads cannot stay.
+    statements = list(top_level_statements())
+
+    def read_elsewhere(name):
+        return any(name in loaded and name not in bound for _, bound, loaded in statements)
+
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", (ROOT / "README.md").read_text()))
+    contract = {
+        alias.name
+        for node in ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "chainperm"
+        for alias in node.names
+    }
+    unread = [
+        name
+        for name in chainperm.__all__
+        if not (read_elsewhere(name) or name in documented or name in contract)
+    ]
+    unread += [
+        f"{module}: {name}"
+        for module, bound, _ in statements
+        for name in sorted(bound)
+        if name[0] == "_" and not name.startswith("__") and not read_elsewhere(name)
+    ]
+    assert not unread
+
+
+def test_library_parses_as_the_oldest_supported_python():
+    # Syntax only: a standard-library name added after that version would
+    # still pass.
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())[1])
+    for path in LIBRARY:
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, minor))
+
+
+def test_oracle_imports_nothing_from_the_library():
+    # tests/helpers.py is the independent oracle, so it may not share code
+    # with what it checks.
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.partition(".")[0] == "chainperm"] == []

@@ -1,9 +1,11 @@
 """Exhaustive counting: base cases, refinement, sharding, size bound."""
 
+import importlib.util
 import itertools
 import multiprocessing
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +23,6 @@ from chainperm import (
     formula_by_tag,
     formula_table,
     generate_sn,
-    identity,
     parse_chain,
     strongly_avoids,
 )
@@ -62,6 +63,8 @@ def splits_by_size(words, n):
 
 
 def totals(chain, n_max):
+    """The totals for sizes 1 to n_max, from one count to n_max."""
+    count_chain(n_max, chain)
     return [count_chain(n, chain).total for n in range(1, n_max + 1)]
 
 
@@ -93,7 +96,7 @@ def test_generate_sn_size_bound():
     with pytest.raises(ValueError):
         generate_sn(-1)
     stream = generate_sn(MAX_ENUMERATION_N + 1, force=True)
-    assert next(stream) == identity(MAX_ENUMERATION_N + 1)
+    assert next(stream) == Permutation(tuple(range(1, MAX_ENUMERATION_N + 2)))
 
 
 def test_count_base_cases():
@@ -496,6 +499,42 @@ def test_random_inverse_chains_match_the_scan_oracle():
         assert totals(inverse, n) == [scan_count_chain(m, inverse.levels)[0] for m in range(1, n + 1)], chain
 
 
+def symmetry_orbit(chain):
+    """The chain, its reverse complement, its inverse and the inverse's
+    reverse complement: the four chains whose avoiders are the images of
+    one chain's avoiders under the symmetries that commute with powers."""
+    inverse = inverse_chain(chain)
+    return (chain, chain.reverse_complement(), inverse, inverse.reverse_complement())
+
+
+def load_deep_pool():
+    """The deep chains that the benchmark's deep-chains workload draws from."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.DEEP_POOL
+
+
+def test_deep_chains_have_equal_totals_across_their_symmetry_orbit(block_counts):
+    # The tree path past the oracle's reach, with no oracle: the four chains
+    # of an orbit walk four different trees, with other kernels and other
+    # compiled searches, so equal totals at every size check them against
+    # each other.  Totals only: the inverse's split by the position of 1 is
+    # the original's split by its first entry, another statistic.
+    for text in random.Random(1).sample(load_deep_pool(), 6):
+        orbit = symmetry_orbit(parse_chain(text))
+        assert len({tuple(totals(chain, 8)) for chain in orbit}) == 1, text
+    assert block_counts == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(chain_levels)
+def test_random_chains_have_equal_totals_across_their_symmetry_orbit(levels):
+    orbit = symmetry_orbit(ChainSpec(levels))
+    assert len({tuple(totals(chain, 7)) for chain in orbit}) == 1
+
+
 def test_counts_are_kept_per_chain(root_walks, block_counts):
     chain = parse_chain("312,3214:312")
     at_6 = count_chain(6, chain)
@@ -662,6 +701,43 @@ def test_walk_chain_avoiders_size_bound():
         walk_chain_avoiders(MAX_ENUMERATION_N + 1, parse_chain("312:312"))
     with pytest.raises(ValueError):
         walk_chain_avoiders(-1, parse_chain("312:312"))
+
+
+def test_sizes_must_be_integers():
+    # Any size that is not an integer raises one TypeError before any
+    # work, whether or not the chain's counts are kept, on both counting
+    # paths; an integer of another type is read as the int it stands for.
+    not_an_integer = "cannot be interpreted as an integer"
+    for n in (2.0, 2.5):
+        with pytest.raises(TypeError, match=not_an_integer):
+            generate_sn(n)
+    for chain in (parse_chain("312:312"), parse_chain("321:21")):
+        for n in (2.0, 2.5):
+            for call in (count_chain, walk_chain_avoiders):
+                with pytest.raises(TypeError, match=not_an_integer):
+                    call(n, chain)
+        count_chain(3, chain)
+        with pytest.raises(TypeError, match=not_an_integer):
+            count_chain(2.0, chain)
+        assert count_chain(True, chain) == count_chain(1, chain)
+        assert list(walk_chain_avoiders(True, chain)) == [(), (1,)]
+
+
+def test_count_chain_refuses_fewer_than_one_job():
+    for jobs in (0, -1):
+        for n in (0, 3):
+            with pytest.raises(ValueError, match=r"^jobs must be >= 1$"):
+                count_chain(n, parse_chain("321:21"), jobs=jobs)
+
+
+def test_count_refinement_stores_integer_entries_as_ints():
+    chain = parse_chain("312:312")
+    ref = CountRefinement(chain, [2, True])
+    assert ref.by_position_of_one == (2, 1)
+    assert [type(entry) for entry in ref.by_position_of_one] == [int, int]
+    for entries in ([1.5, True], [2.0]):
+        with pytest.raises(TypeError):
+            CountRefinement(chain, entries)
 
 
 def test_count_refinement_validation():

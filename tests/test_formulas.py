@@ -48,6 +48,18 @@ def test_ceiling_half_sum_examples():
         ceiling_half_sum(0)
 
 
+def test_sizes_must_be_integers():
+    # Any size that is not an integer raises one TypeError before any
+    # check of its value; an integer of another type is read as its int.
+    for n in (3.0, 2.5, 0.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            evaluate(formula_by_tag("T34"), n)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ceiling_half_sum(n)
+    assert evaluate(formula_by_tag("T34"), True) == 1
+    assert ceiling_half_sum(True) == 1
+
+
 def test_ceiling_half_sum_matches_direct_sum():
     for n in range(1, 101):
         assert ceiling_half_sum(n) == sum((i + 1) // 2 for i in range(1, n + 1))

@@ -11,9 +11,7 @@ from chainperm import (
     Pattern,
     Permutation,
     contains,
-    identity,
     parse_permutation,
-    reverse_identity,
 )
 from helpers import all_words, compose_words, power_word
 
@@ -69,17 +67,6 @@ def test_constructor_accepts_any_value_order():
     assert len(Permutation(())) == 0
 
 
-def test_identity_and_reverse_identity():
-    assert identity(4).values == (1, 2, 3, 4)
-    assert identity(0).values == ()
-    assert reverse_identity(5).values == (5, 4, 3, 2, 1)
-    assert reverse_identity(1).values == (1,)
-    with pytest.raises(ValueError):
-        identity(-1)
-    with pytest.raises(ValueError):
-        reverse_identity(-1)
-
-
 def test_apply_is_one_based():
     pi = Permutation((2, 4, 1, 3))
     assert [pi(i) for i in (1, 2, 3, 4)] == [2, 4, 1, 3]
@@ -98,20 +85,20 @@ def test_compose_example():
 
 def test_compose_length_mismatch_raises():
     with pytest.raises(ValueError):
-        identity(3).compose(identity(4))
+        Permutation((1, 2, 3)).compose(Permutation((1, 2, 3, 4)))
 
 
 def test_power_examples():
-    assert parse_permutation("1432").power(2) == identity(4)
-    assert parse_permutation("15432").power(2) == identity(5)
+    assert parse_permutation("1432").power(2) == Permutation((1, 2, 3, 4))
+    assert parse_permutation("15432").power(2) == Permutation((1, 2, 3, 4, 5))
     pi = parse_permutation("231")
     assert pi.power(2).values == (3, 1, 2)
-    assert pi.power(3) == identity(3)
+    assert pi.power(3) == Permutation((1, 2, 3))
 
 
 def test_power_zero_and_negative():
     pi = parse_permutation("2413")
-    assert pi.power(0) == identity(4)
+    assert pi.power(0) == Permutation((1, 2, 3, 4))
     with pytest.raises(ValueError):
         pi.power(-1)
 
@@ -201,12 +188,12 @@ def test_power_addition_law(pi, a, b):
 
 def test_text_uses_digits_up_to_nine():
     assert parse_permutation("24153").text() == "24153"
-    assert identity(9).text() == "123456789"
+    assert Permutation(tuple(range(1, 10))).text() == "123456789"
     assert Permutation(()).text() == ""
 
 
 def test_text_uses_commas_from_ten():
-    pi = identity(10).reverse()
+    pi = Permutation(tuple(range(1, 11))).reverse()
     assert pi.text() == "10,9,8,7,6,5,4,3,2,1"
     assert parse_permutation(pi.text()) == pi
 
