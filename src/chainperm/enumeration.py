@@ -183,7 +183,11 @@ by size are:
   every size s >= 2K.
 The automaton works out each step once per state and class, from the
 start (every f = 0), and keeps for each state the classes that complete
-no pattern with the state each leads to.  It does not depend on n.
+no pattern, each as a move (a, b, d) to the state it leads to.  The
+move carries its class's series, the class's blocks counted by size: d =
+(a == K) + (b == K) is 0, 1 or 2 for the three kinds above, whose series
+are x^(a+b), x^(a+b)/(1 - x) and x^(a+b)/((1 - x)(1 - x^2)).  It does
+not depend on n.
 
 Order.  A move never lowers a state in any coordinate, since each
 pattern's greedy position f only moves forward.  So the only cycles of
@@ -193,18 +197,21 @@ Size program (see _sum_of_blocks).  It runs bottom-up over sizes:
 ways[m] holds, for each state, the sums of size m that complete no
 pattern when read from it, the sum over its moves of the blocks of each
 size s of the class times ways[m - s] at the state the move leads to.
-With the running sums runs[j] = ways[0] + ... + ways[j] and
-pairs[j] = runs[j] + pairs[j - 2], a move reads ways[m - a - b] for a
-class (a, b) with b < K, runs[m - a - K] for (a, K) and pairs[m - 2K]
-for (K, K), whose counts run 1, 1, 2, 2, 3, ... from size 2K on.  The
-split of size m adds, over each first block (a', b') of size s, ways[m -
-s] at the state it leads to, at the position of its 1: s on the 312
-side, b' + 1 on the 231 side.  There the blocks of the class (K, K) with
-a given b' have sizes b' + K to b' + min(b', m - b'), so they add one
-range of running sums, runs[m - b' - K] - runs[m - 2b' - 1], the second
-term 0 when its index is negative.  Each size
-takes O(n) steps per first move, O(n^2) in all on both sides, and the
-program builds no word and compiles nothing.
+The running sums runs[j] = ways[0] + ... + ways[j] and pairs[j] =
+runs[j] + pairs[j - 2] are ways times 1/(1 - x) and 1/((1 - x)(1 -
+x^2)), so a move (a, b, d) reads entry m - a - b of the one of ways,
+runs and pairs that d names, and never the cap K.  The split of size m
+adds, over each first block (a', b') of size s, ways[m - s] at the state
+it leads to, at the position of its 1: s on the 312 side, b' + 1 on the
+231 side.  The smallest block of a class, of size a + b, puts it at
+a + b or b + 1, and for d = 0 it is the class's one block.  With d = 1
+each larger block puts it one place further, on both sides.  With d = 2
+the blocks of size s all put it at s on the 312 side; on the 231 side
+the blocks with a given b' have sizes b' + K to b' + min(b', m - b'), so
+they add one range of running sums, runs[m - b' - K] - runs[m - 2b' - 1],
+the second term 0 when its index is negative.  Each size takes O(n)
+steps per first move, O(n^2) in all on both sides, and the program
+builds no word and compiles nothing.
 
 The trees of the other chains, when large, are counted in a process
 pool.  The parent grows the tree alone up to the middle depth n // 2 and
@@ -295,14 +302,15 @@ def _strong_side(levels: LevelValues) -> bool | None:
     return None
 
 
-def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict]:
+def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> dict:
     """The greedy automaton of a chain whose tree prunes at level 2 (see
-    Block classes in the module docstring), as the cap K and the moves:
-    for each state, every block class (a, b) read from it that completes
-    no pattern, with the state it leads to.  The start, one 0 per pattern,
-    is the first key.  A component has the form (a, b) when it is the
-    block id_a - delta_b, the one block shape.  up is True on the 312
-    side; on the 231 side each component is read through its reverse
+    Block classes in the module docstring), as its moves: for each state,
+    every block class (a, b) read from it that completes no pattern, as
+    (a, b, d, after), where d = (a == K) + (b == K) names the class's
+    series and after is the state the move leads to.  The start, one 0 per
+    pattern, is the first key.  A component has the form (a, b) when it
+    is the block id_a - delta_b, the one block shape.  up is True on the
+    312 side; on the 231 side each component is read through its reverse
     complement, which maps the block delta_b - id_a to id_a - delta_b
     (see The 231 side in the module docstring)."""
     # Each pattern as the forms (a, b) of its components, the parts between
@@ -337,9 +345,9 @@ def _automaton(level1: tuple[tuple[int, ...], ...], up: bool) -> tuple[int, dict
                 for forms, t in zip(patterns, state)
             )
             if all(t < len(forms) for forms, t in zip(patterns, after)):
-                moves[state].append(((a, b), after))
+                moves[state].append((a, b, (a == cap) + (b == cap), after))
                 todo.append(after)
-    return cap, moves
+    return moves
 
 
 def _add_at(split: list[int], lo: int, values: Iterable[int]) -> None:
@@ -352,44 +360,41 @@ def _sum_of_blocks(n: int, level1: tuple[tuple[int, ...], ...], up: bool) -> lis
     """The split by the position of 1 for every size 1 to n of a chain
     whose tree prunes at level 2, counted over the block classes of its
     automaton (see Size program in the module docstring)."""
-    cap, moves = _automaton(level1, up)
+    moves = _automaton(level1, up)
     start = next(iter(moves))
     # For each state, ways[j]: the sums of size j that complete no pattern
-    # from it, and its running sums by steps of 1 and of 2, which the
-    # classes (a, cap) and (cap, cap) read.
+    # from it, and its running sums by steps of 1 and of 2: the series a
+    # move with d = 0, 1 or 2 reads.
     series = {state: ([1], [1], [1]) for state in moves}
     halves = [i // 2 + 1 for i in range(n)]
     splits = []
     for m in range(1, n + 1):
         for state, move in moves.items():
-            w = sum(
-                series[after][(a == cap) + (b == cap)][m - a - b]
-                for (a, b), after in move
-                if a + b <= m
-            )
+            w = sum(series[after][d][m - a - b] for a, b, d, after in move if a + b <= m)
             ways, runs, pairs = series[state]
             ways.append(w)
             runs.append(runs[-1] + w)
             pairs.append(runs[-1] + (pairs[-2] if m > 1 else 0))
-        # The first block of size s holds the 1 at position s on the 312
-        # side, and at position b + 1 on the 231 side.
+        # The smallest first block of the class holds the 1 at position
+        # a + b on the 312 side, and at position b + 1 on the 231 side.
         split = [0] * m
-        for (a, b), after in moves[start]:
+        for a, b, d, after in moves[start]:
             ways, runs, _ = series[after]
             j = m - a - b
             if j < 0:
                 continue
-            if b < cap:
-                split[a + b - 1 if up else b] += ways[j]
-            elif a < cap:
-                _add_at(split, cap + a - 1 if up else cap, ways[j::-1])
+            lo = a + b - 1 if up else b
+            if d == 0:
+                split[lo] += ways[j]
+            elif d == 1:
+                _add_at(split, lo, ways[j::-1])
             elif up:
-                _add_at(split, 2 * cap - 1, map(operator.mul, ways[j::-1], halves))
+                _add_at(split, lo, map(operator.mul, ways[j::-1], halves))
             else:
-                # The blocks (a', b') with cap <= a' <= b', by b': a range of
+                # The blocks (a', b') with K <= a' <= b', by b': a range of
                 # the running sums for each b'.
-                _add_at(split, cap, runs[j::-1])
-                _add_at(split, cap, map(operator.neg, runs[j - 1 :: -2] if j else ()))
+                _add_at(split, lo, runs[j::-1])
+                _add_at(split, lo, map(operator.neg, runs[j - 1 :: -2] if j else ()))
         splits.append(split)
     return splits
 
@@ -541,12 +546,13 @@ def count_chain(
     counts every size from 1 to n, and those counts are kept per chain for
     the life of the process: a later call for a size up to n is a lookup,
     and one for a larger size counts again and replaces them.  jobs must
-    be at least 1, and jobs > 1 allows a process pool for large trees (see
-    MIN_POOL_FRONTIER); it does not apply to the chains counted over
-    blocks, which never open a pool.  Results do not depend on the worker
-    count.
+    be an integer of at least 1, and jobs > 1 allows a process pool for
+    large trees (see MIN_POOL_FRONTIER); it does not apply to the chains
+    counted over blocks, which never open a pool.  Results do not depend
+    on the worker count.
     """
     n = _check_size(n, force)
+    jobs = operator.index(jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if n == 0:

@@ -21,6 +21,7 @@ def _ceil_half(n: int) -> int:
 def _recurrence(n: int, second: int, name: str) -> int:
     """The n-th term of the sequence that starts 1, second and adds the two
     terms before each later one; name is the sequence's, for the error."""
+    n = index(n)
     if n < 1:
         raise ValueError(f"{name} is defined for n >= 1")
     a, b = 1, second

@@ -135,6 +135,7 @@ class Permutation(Frozen):
 
     def power(self, k: int) -> "Permutation":
         """The k-th compositional power, with power 0 the identity."""
+        k = index(k)
         if k < 0:
             raise ValueError("exponent must be >= 0")
         result = tuple(range(1, len(self.values) + 1))

@@ -7,11 +7,14 @@ n...21, so for n >= 2 the valid breakpoints outnumber the distinct
 words by one.
 """
 
+from operator import index
+
 from .perm import Permutation
 
 
 def breakpoint_range(n: int) -> range:
     """All valid breakpoints for size n, i.e. ceil(n/2) <= k <= n."""
+    n = index(n)
     if n < 1:
         raise ValueError("size must be >= 1")
     return range((n + 1) // 2, n + 1)
@@ -23,7 +26,7 @@ def build_unimodal(n: int, k: int) -> Permutation:
     >>> str(build_unimodal(7, 4))
     '5674321'
     """
-    admissible = breakpoint_range(n)
+    admissible, k = breakpoint_range(n), index(k)
     if k not in admissible:
         raise ValueError(
             f"breakpoint k={k} is outside the admissible range for n={n}: "

@@ -389,13 +389,15 @@ def test_pruned_walk_matches_level1_walk_on_random_chains(square, others, where,
 
 def assert_moves_never_go_back(level1, up):
     """Every move of the chain's block automaton leads to a state at least
-    as large in every coordinate, so its only cycles are self-loops."""
-    cap, moves = enumeration._automaton(level1, up)
-    assert cap == max(map(len, level1))
+    as large in every coordinate, so its only cycles are self-loops.  Each
+    move names its class's series by d = (a == K) + (b == K)."""
+    cap = max(map(len, level1))
+    moves = enumeration._automaton(level1, up)
     assert next(iter(moves)) == (0,) * len(next(iter(moves)))
     for state, move in moves.items():
-        for (a, b), after in move:
+        for a, b, d, after in move:
             assert 1 <= a <= max(b, 1) and b <= cap, (level1, a, b)
+            assert d == (a == cap) + (b == cap), (level1, a, b, d)
             assert after in moves, (level1, after)
             assert all(t <= u for t, u in zip(state, after)), (level1, state, after)
 
@@ -443,13 +445,41 @@ def test_automaton_keeps_exactly_the_patterns_strong_avoiders_contain():
         kept = set()
         for k in range(1, 6):
             for sigma in itertools.permutations(range(1, k + 1)):
-                _, moves = enumeration._automaton((square, sigma), square == (3, 1, 2))
+                moves = enumeration._automaton((square, sigma), square == (3, 1, 2))
                 if len(next(iter(moves))) == 1:
                     kept.add(sigma)
         assert kept == contained, square
         assert len(kept) == 48
         assert all(avoids(Permutation(sigma), tau) for sigma in dropped)
         assert not kept.intersection(dropped)
+
+
+def test_each_move_names_the_series_of_its_blocks():
+    # A level-1 pattern of length K that contains the chain's square is
+    # dropped, so from the start of that automaton every class is a move.
+    # Each class's blocks, counted by size up to 4K, are the coefficients
+    # of x^(a+b) / (1 - x)^[d >= 1] / (1 - x^2)^[d == 2].
+    for cap in (3, 4, 5):
+        longest = 4 * cap
+        blocks = [(1, 0)] + [
+            (a, b) for b in range(1, longest) for a in range(1, b + 1) if a + b <= longest
+        ]
+        counts = {}
+        for a, b in blocks:
+            kind = (min(a, cap), min(b, cap))
+            counts.setdefault(kind, [0] * (longest + 1))[a + b] += 1
+        word = (*range(cap, 3, -1), 3, 1, 2)
+        for up, sigma in ((True, word), (False, tuple(cap + 1 - v for v in reversed(word)))):
+            [(start, move)] = enumeration._automaton((sigma,), up).items()
+            assert sorted((a, b) for a, b, _, _ in move) == sorted(counts), (cap, up)
+            for a, b, d, after in move:
+                assert after == start
+                coefficients = [0] * (longest + 1)
+                coefficients[a + b] = 1
+                for k in (1, 2)[:d]:
+                    for s in range(a + b + k, longest + 1):
+                        coefficients[s] += coefficients[s - k]
+                assert coefficients == counts[a, b], (cap, up, a, b, d)
 
 
 def inverse_chain(chain):
@@ -728,6 +758,21 @@ def test_count_chain_refuses_fewer_than_one_job():
         for n in (0, 3):
             with pytest.raises(ValueError, match=r"^jobs must be >= 1$"):
                 count_chain(n, parse_chain("321:21"), jobs=jobs)
+
+
+def test_count_chain_reads_jobs_as_an_integer(monkeypatch):
+    # A jobs that is not an integer is refused at the door on both paths,
+    # before any count and before a pool opens; True is read as 1.
+    monkeypatch.setattr(enumeration, "MIN_POOL_FRONTIER", 1)
+    opened = spy_on_pools(monkeypatch)
+    for chain in (parse_chain("312:312"), parse_chain("321:21")):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            count_chain(6, chain, jobs=1.5)
+        assert chain not in enumeration._COUNTS
+        at_6 = count_chain(6, chain, jobs=True)
+        enumeration._COUNTS.clear()
+        assert count_chain(6, chain, jobs=1) == at_6
+    assert opened == []
 
 
 def test_count_refinement_stores_integer_entries_as_ints():

@@ -54,10 +54,13 @@ def test_sizes_must_be_integers():
     for n in (3.0, 2.5, 0.5):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             evaluate(formula_by_tag("T34"), n)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            ceiling_half_sum(n)
+        for call in (ceiling_half_sum, fibonacci, lucas):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(n)
     assert evaluate(formula_by_tag("T34"), True) == 1
-    assert ceiling_half_sum(True) == 1
+    assert ceiling_half_sum(True) == fibonacci(True) == lucas(True) == 1
+    with pytest.raises(ValueError, match=r"^lucas is defined for n >= 1$"):
+        lucas(False)
 
 
 def test_ceiling_half_sum_matches_direct_sum():

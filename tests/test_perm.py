@@ -101,6 +101,11 @@ def test_power_zero_and_negative():
     assert pi.power(0) == Permutation((1, 2, 3, 4))
     with pytest.raises(ValueError):
         pi.power(-1)
+    for k in (0.5, 2.0, 2.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            pi.power(k)
+    assert pi.power(True) == pi
+    assert pi.power(False) == Permutation((1, 2, 3, 4))
 
 
 def test_power_matches_repeated_compose():

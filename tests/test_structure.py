@@ -27,6 +27,24 @@ def test_breakpoint_range():
         breakpoint_range(0)
 
 
+def test_sizes_and_breakpoints_must_be_integers():
+    # Each is read as an integer before any check of its value, so every
+    # number that is not one raises TypeError; a bool is read as its int.
+    not_an_integer = "cannot be interpreted as an integer"
+    for x in (0.5, 2.0, 2.5):
+        for call in (breakpoint_range, unimodal_forms, count_breakpoints):
+            with pytest.raises(TypeError, match=not_an_integer):
+                call(x)
+        with pytest.raises(TypeError, match=not_an_integer):
+            build_unimodal(3, x)
+    assert breakpoint_range(True) == range(1, 2)
+    assert unimodal_forms(True) == [Permutation((1,))]
+    assert count_breakpoints(True) == 1
+    assert build_unimodal(1, True) == build_unimodal(True, 1) == Permutation((1,))
+    with pytest.raises(ValueError, match=r"^size must be >= 1$"):
+        breakpoint_range(False)
+
+
 def test_build_unimodal_examples():
     assert build_unimodal(7, 4).text() == "5674321"
     assert build_unimodal(5, 3).text() == "45321"
