@@ -1,10 +1,11 @@
 """Closed forms for the nine built-in chain-avoidance counts.
 
-Each table row holds its chain on the 231 side and the exact formula
-for its count; the row's chain on the 312 side is the reverse complement,
-which has the same count.  evaluate answers only for rows of the table.
-All arithmetic is integer only; the divisions in T42, T43 and T44 are
-exact and checked.
+Each table row holds its chain on the 231 side, and the function that
+computes its count is the row's one statement of its closed form in
+code; README's formula table states it in prose.  The row's chain on the
+312 side is the reverse complement, which has the same count.  evaluate
+answers only for rows of the table.  All arithmetic is integer only; the
+divisions in T42, T43 and T44 are exact and checked.
 """
 
 from operator import index
@@ -87,59 +88,55 @@ def _t43(n: int) -> int:
     return _exact_div(4 * k**3 + 3 * k**2 - k, 6) + 1
 
 
-# The statements that two rows share, T33 with T35 and T43 with T44: the
-# description and the closed form.
-_T33 = ("k^2 + 1 for n = 2k, k^2 + k + 1 for n = 2k + 1", _t33)
-_T43 = ("(4k^3 + 3k^2 - k)/6 + 1 for n = 2k, (4k^3 + 9k^2 + 5k)/6 + 1 for n = 2k + 1", _t43)
-
-
 class FormulaId(Frozen):
     """One row of the formula table.
 
     chain_231 is the row's chain on the 231 side; chain_312, its reverse
     complement, counts the same permutations.  valid_from is the smallest
-    n the closed form covers.
+    n the closed form covers, stored as an int through operator.index, so
+    a valid_from that is not an integer raises TypeError.  The row holds
+    no prose: its closed form is stated once in code, as the function
+    evaluate runs for it, and once in prose, in README's formula table.
     """
 
-    __slots__ = ("tag", "chain_231", "valid_from", "description")
+    __slots__ = ("tag", "chain_231", "valid_from")
 
     tag: str
     chain_231: ChainSpec
     valid_from: int
-    description: str
 
-    def __init__(self, tag: str, chain_231: ChainSpec, valid_from: int, description: str) -> None:
+    def __init__(self, tag: str, chain_231: ChainSpec, valid_from: int) -> None:
+        valid_from = index(valid_from)
         if valid_from < 1:
             raise ValueError(f"{tag}: valid_from must be >= 1")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "chain_231", chain_231)
         object.__setattr__(self, "valid_from", valid_from)
-        object.__setattr__(self, "description", description)
 
     @property
     def chain_312(self) -> ChainSpec:
         return self.chain_231.reverse_complement()
 
 
-# One row per tag: the level-1 pattern beside 231 on the 231 side, valid_from,
-# the description and the closed form the row claims.
+# One row per tag: the level-1 pattern beside 231 on the 231 side, valid_from
+# and the function that is the row's closed form; the twin rows T33/T35 and
+# T43/T44 name one function each.
 _ROWS = (
-    ("T31", "123", 3, "2n - 3", lambda n: 2 * n - 3),
-    ("T32", "321", 1, "F(n) with F(1)=1, F(2)=2", fibonacci),
-    ("T33", "132", 1, *_T33),
-    ("T34", "312", 1, "2^(n - 1)", lambda n: 2 ** (n - 1)),
-    ("T35", "213", 1, *_T33),
-    ("T41", "1432", 1, "L(n + 1) - ceil(n / 2) - 1 with L(1)=1, L(2)=3",
-     lambda n: lucas(n + 1) - _ceil_half(n) - 1),
-    ("T42", "1423", 2, "(7*4^(k-1) - 1)/3 for n = 2k, (14*4^(k-1) - 2)/3 for n = 2k + 1", _t42),
-    ("T43", "1243", 1, *_T43),
-    ("T44", "2143", 1, *_T43),
+    ("T31", "123", 3, lambda n: 2 * n - 3),
+    ("T32", "321", 1, fibonacci),
+    ("T33", "132", 1, _t33),
+    ("T34", "312", 1, lambda n: 2 ** (n - 1)),
+    ("T35", "213", 1, _t33),
+    ("T41", "1432", 1, lambda n: lucas(n + 1) - _ceil_half(n) - 1),
+    ("T42", "1423", 2, _t42),
+    ("T43", "1243", 1, _t43),
+    ("T44", "2143", 1, _t43),
 )
 
 # Each tag's row of the table and the closed form it claims, in tag order.
 _CLAIMS: dict[str, tuple[FormulaId, Callable[[int], int]]] = {
-    tag: (FormulaId(tag, parse_chain(f"231,{side}:231"), valid_from, description), form)
-    for tag, side, valid_from, description, form in _ROWS
+    tag: (FormulaId(tag, parse_chain(f"231,{side}:231"), valid_from), form)
+    for tag, side, valid_from, form in _ROWS
 }
 
 

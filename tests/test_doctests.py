@@ -163,6 +163,48 @@ def test_every_name_has_a_reader_outside_the_tests():
     assert not unread
 
 
+def test_every_record_field_has_a_reader():
+    # Each field a library class names in its own __slots__ must be read as
+    # an attribute by library code outside that class's __init__, or be
+    # named in backticks in README.md.  An attribute of an imported module,
+    # such as itertools.chain, is not a read of a field.
+    fields, reads = [], set()
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        in_init = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    if isinstance(statement, ast.Assign) and any(
+                        isinstance(target, ast.Name) and target.id == "__slots__"
+                        for target in statement.targets
+                    ):
+                        fields += [(node.name, name) for name in ast.literal_eval(statement.value)]
+                    if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
+                        in_init.update(dict.fromkeys(ast.walk(statement), node.name))
+        reads |= {
+            (node.attr, in_init.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+        }
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", (ROOT / "README.md").read_text()))
+    unread = [
+        f"{owner}.{name}"
+        for owner, name in fields
+        if name not in documented
+        and not any(attribute == name and where != owner for attribute, where in reads)
+    ]
+    assert not unread
+
+
 def test_library_parses_as_the_oldest_supported_python():
     # Syntax only: a standard-library name added after that version would
     # still pass.

@@ -14,7 +14,7 @@ from chainperm import (
     lucas,
     parse_chain,
 )
-from chainperm.formulas import FormulaId, _exact_div
+from chainperm.formulas import _CLAIMS, FormulaId, _exact_div
 
 ALL_TAGS = ("T31", "T32", "T33", "T34", "T35", "T41", "T42", "T43", "T44")
 
@@ -74,7 +74,6 @@ def test_table_shape():
     for row in table:
         assert row.chain_312 == row.chain_231.reverse_complement()
         assert row.valid_from >= 1
-        assert row.description
     assert formula_table() is not table
 
 
@@ -94,9 +93,10 @@ def test_table_chains():
     assert t33.chain_312.text() == "312,213:312"
 
 
-def test_readme_formula_table_matches_the_package():
-    # The rows of the table under "## The formula table" in README.md:
-    # tag, both chains and valid_from, as the package stores them.
+def test_readme_table_matches_formula_table():
+    # The nine rows of the table under "## The formula table" in README.md,
+    # the closed forms' prose: tag, both chains and valid_from, as
+    # formula_table stores them.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## The formula table", 1)[1].split("\n#", 1)[0]
     rows = [
@@ -104,6 +104,7 @@ def test_readme_formula_table_matches_the_package():
         for line in section.splitlines()
         if line.startswith("| T")
     ]
+    assert len(rows) == 9
     assert [(tag, left, right, int(valid_from)) for tag, left, right, _, valid_from in rows] == [
         (row.tag, row.chain_231.text(), row.chain_312.text(), row.valid_from)
         for row in formula_table()
@@ -148,27 +149,22 @@ def test_evaluate_below_valid_from():
 
 def test_evaluate_answers_only_for_table_rows():
     t41 = formula_by_tag("T41")
-    rebuilt = FormulaId(
-        tag="T41",
-        chain_231=parse_chain("231,1432:231"),
-        valid_from=1,
-        description=t41.description,
-    )
+    rebuilt = FormulaId(tag="T41", chain_231=parse_chain("231,1432:231"), valid_from=1)
     assert rebuilt is not t41
     assert evaluate(rebuilt, 8) == 71
-    unknown = FormulaId("X", parse_chain("231:231"), 1, "")
+    unknown = FormulaId("X", parse_chain("231:231"), 1)
     with pytest.raises(ValueError, match=r"^X: not a row of the formula table$"):
         evaluate(unknown, 5)
     # A table tag on chains of no row claims nothing.
-    t34 = formula_by_tag("T34")
-    other = FormulaId("T34", parse_chain("231,4321:231"), 1, t34.description)
+    other = FormulaId("T34", parse_chain("231,4321:231"), 1)
     with pytest.raises(ValueError, match=r"^T34: not a row of the formula table$"):
         evaluate(other, 5)
 
 
 def test_twin_tags_share_values():
+    # Each twin pair shares one closed-form function, and so its values.
     for a, b in (("T33", "T35"), ("T43", "T44")):
-        assert formula_by_tag(a).description == formula_by_tag(b).description
+        assert _CLAIMS[a][1] is _CLAIMS[b][1]
         for n in range(1, 61):
             assert evaluate(formula_by_tag(a), n) == evaluate(formula_by_tag(b), n)
 

@@ -21,7 +21,7 @@ def make_values():
     return {
         "ChainSpec": lambda: parse_chain("312,1423:312"),
         "CountRefinement": lambda: CountRefinement(parse_chain("312:312"), (2, 1, 2)),
-        "FormulaId": lambda: FormulaId("T34", parse_chain("231,312:231"), 1, "2^(n - 1)"),
+        "FormulaId": lambda: FormulaId("T34", parse_chain("231,312:231"), 1),
     }
 
 
@@ -42,7 +42,7 @@ def test_unequal_fields_give_unequal_objects():
     assert CountRefinement(chain, (1, 1)) != CountRefinement(chain, (2, 0))
     assert CountRefinement(chain, (1,)) != CountRefinement(parse_chain("312"), (1,))
     t34 = formula_by_tag("T34")
-    other = FormulaId(t34.tag, t34.chain_231, 2, t34.description)
+    other = FormulaId(t34.tag, t34.chain_231, 2)
     assert other != t34
 
 
@@ -100,20 +100,24 @@ def test_repr_names_the_fields():
 
 def test_formula_id_keyword_construction():
     t41 = formula_by_tag("T41")
-    row = FormulaId(
-        description=t41.description,
-        valid_from=t41.valid_from,
-        chain_231=t41.chain_231,
-        tag=t41.tag,
-    )
+    row = FormulaId(valid_from=t41.valid_from, chain_231=t41.chain_231, tag=t41.tag)
     assert row == t41
     with pytest.raises(ValueError, match="T41: valid_from must be >= 1"):
-        FormulaId(
-            tag="T41",
-            chain_231=t41.chain_231,
-            valid_from=0,
-            description="",
-        )
+        FormulaId(tag="T41", chain_231=t41.chain_231, valid_from=0)
+
+
+def test_formula_id_reads_valid_from_as_an_integer():
+    # valid_from is read through operator.index before its range check, so
+    # a value that is not an integer raises TypeError and an integer of
+    # another type is stored as its int.
+    chain = parse_chain("231,312:231")
+    for valid_from in (1.5, 2.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            FormulaId("T34", chain, valid_from)
+    row = FormulaId("T34", chain, True)
+    assert type(row.valid_from) is int
+    assert row.valid_from == 1
+    assert row == formula_by_tag("T34")
 
 
 def test_constructors_convert_and_validate():
